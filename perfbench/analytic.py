@@ -6,8 +6,18 @@ query below on a fresh :class:`~repro.engine.Engine`, the way library
 users and the paper's experiments call it.  No serving tier is involved,
 so kernel and backend changes show here and service changes do not.
 
-Queries on large inputs (n >= 10^5) form the ``high`` latency class and
-queries on small inputs (n <= 1000) the ``low`` class.
+Queries on large inputs (n >= 10^5) form the ``high`` class and queries
+on small inputs (n <= 1000) the ``low`` class.  ``low.ms`` and
+``high.ms`` sum, over a class's queries, each query's fastest time over
+the passes, so every query moves its class's figure in proportion to its
+cost.  The fastest time rather than the median, because the machine's
+speed varies by up to half from second to second on a shared 2-core box
+and contention only ever slows a query.  Over runs of 36 s, the between-run
+spread (quartile distance over the median) of the median pass was 0.24
+(small inputs) and 0.15 (large) in 6 runs; summing each query's fastest
+time gave 0.10-0.11 and 0.04-0.10 in two sets of 10.  The traced run's span
+metrics are built the same way: the fastest time of each call, summed
+over a pass's calls of that span.
 
 The smooth Gaussian PRFomega weight stands in for a step weight on the
 ``approx=`` query because the planner cannot certify any DFT
@@ -21,8 +31,6 @@ import time
 from typing import Any, Callable
 
 import numpy as np
-
-import loadgen
 
 from repro.core.columnar import ColumnarRelation
 from repro.core.prf import PRFe, PRFOmega
@@ -46,12 +54,8 @@ APPROX_HORIZON = 2000
 APPROX_BUDGET = 1e-3
 TREE_HORIZON = 50
 ALPHA = 0.95
-SETUPS = 9
-#: The pass count is ``--seconds`` over this, so every run's percentiles
-#: fall on the same queries.  At 11 passes the low-class tail falls on the
-#: Markov cold queries and the high-class median inside the approx
-#: queries, whose costs do not depend on the seeded data; a pass takes
-#: 3.5-4 s on a 2-core x86 box.
+#: The pass count is ``--seconds`` over this; a pass takes 3.5-5 s on a
+#: 2-core x86 box.
 PASS_SECONDS = 3.3
 
 
@@ -175,40 +179,51 @@ def check(first: Pass) -> list[str]:
 
 def run(seed: int, seconds: float, traced: bool) -> dict[str, Any]:
     """Run the analytic workload; returns the result object ``run.py`` prints."""
-    setups = []
-    for _ in range(SETUPS):
+    setups: list[float] = []
+
+    def setup() -> dict[str, Any]:
         start = time.perf_counter()
-        inputs = build_inputs(seed)
+        built = build_inputs(seed)
         setups.append(time.perf_counter() - start)
-    started = time.perf_counter()
+        return built
+
+    inputs = setup()
     first = Pass(inputs).run()
-    spans = list(first.spans)
+    passes = [first.spans]
     for _ in range(max(2, round(seconds / PASS_SECONDS)) - 1):
+        # A set-up before every pass spreads the set-up samples over the
+        # run; the passes keep ranking the first inputs, whose lazily built
+        # state a user would keep too.
+        setup()
         # Later passes keep only their timings: each engine caches ~100 MiB.
-        spans += Pass(inputs).run().spans
-    elapsed = time.perf_counter() - started
+        passes.append(Pass(inputs).run().spans)
     failures = check(first)
-    queries = len(spans)
-    low = [ms for _, size, ms in spans if size == "low"]
-    high = [ms for _, size, ms in spans if size == "high"]
+    queries = sum(len(pass_spans) for pass_spans in passes)
+    # Every pass runs the same queries in the same order.
+    classes = [size for _, size, _ in first.spans]
+    fastest = [min(ms for _, _, ms in column) for column in zip(*passes)]
+    totals = {
+        size: [sum(ms for _, cls, ms in pass_spans if cls == size) for pass_spans in passes]
+        for size in ("low", "high")
+    }
     metrics = {
-        "setup_s": (float(np.median(setups)), "s"),
-        "low.p50_ms": (loadgen.percentile(low, 50.0), "ms"),
-        "low.tail_ms": (loadgen.chunked_tail(low), "ms"),
-        "high.p50_ms": (loadgen.percentile(high, 50.0), "ms"),
-        "high.tail_ms": (loadgen.chunked_tail(high), "ms"),
-        "max_rate_rps": (queries / elapsed, "1/s"),
-        "ok_ratio": (1.0 - len(failures) / queries, "ratio"),
-        "peak_rss_mib": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MiB"),
+        "setup_s": float(np.median(setups)),
+        "low.ms": sum(ms for ms, size in zip(fastest, classes) if size == "low"),
+        "low.tail_ms": max(totals["low"]),
+        "high.ms": sum(ms for ms, size in zip(fastest, classes) if size == "high"),
+        "high.tail_ms": max(totals["high"]),
+        "max_rate_rps": len(fastest) / (sum(fastest) / 1e3),
+        "ok_ratio": 1.0 - len(failures) / queries,
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     layers: dict[str, float] = {}
     if traced:
-        by_name: dict[str, list[float]] = {}
-        for name, _, ms in spans:
-            by_name.setdefault(name, []).append(ms)
-        layers = {name: float(np.median(values)) for name, values in by_name.items()}
+        for (name, _, _), ms in zip(first.spans, fastest):
+            layers[name] = layers.get(name, 0.0) + ms
         layers["topk.examined"] = first.results["topk"][1].examined
-        decision = first.engine.plan(inputs["medium"], gaussian_omega(), approx=APPROX_BUDGET).approx
+        decision = first.engine.plan(
+            first.inputs["medium"], gaussian_omega(), approx=APPROX_BUDGET
+        ).approx
         layers["approx.terms"] = decision.terms or 0
         info = first.engine.cache_info()
         layers["engine.cache_lookups"] = info["hits"] + info["misses"]
@@ -219,5 +234,6 @@ def run(seed: int, seconds: float, traced: bool) -> dict[str, Any]:
         "failed": len(failures),
         "metrics": metrics,
         "layers": layers,
-        "report": {"passes": queries // len(first.spans), "setups_s": setups, "failures": failures},
+        "report": {"passes": len(passes), "class_ms": totals, "setups_s": setups,
+                   "failures": failures},
     }

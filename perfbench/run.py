@@ -3,7 +3,7 @@
 Usage (from the root of a source checkout)::
 
     python3 perfbench/run.py --workload serve_hot --seed 1 --seconds 36 --trace 0
-    python3 perfbench/run.py --workload analytic --seed 1 --seconds 36 --repeat 5
+    python3 perfbench/run.py --workload analytic --seed 1 --seconds 36 --repeat 10 --sets 2
 
 Workloads:
 
@@ -11,28 +11,36 @@ Workloads:
 * ``analytic`` -- the paper's scaling experiments on an in-process engine
   (:mod:`analytic`).
 
-Every workload prints every end-to-end metric of ``BENCHMARK.json``.  On
-``serve_hot`` ``low.*`` / ``high.*`` are request latencies at the low and
-high fixed offered rates, timed from each request's scheduled send; on
-``analytic`` they are per-call latencies of queries on small (n <= 1000)
-and large (n >= 10^5) inputs.  ``*.p50_ms`` is the median.
-``max_rate_rps`` is the highest ladder rate meeting the limits
-(``serve_hot``) or the queries per second of back-to-back passes
-(``analytic``).  ``ok_ratio`` is one minus failed, shed and timed-out
-requests (or failed checks) over those attempted.
+Every workload prints every end-to-end metric of ``BENCHMARK.json``; the
+metric names and units are read from there.  On ``serve_hot`` ``low.*`` /
+``high.*`` are request latencies at the low and high fixed offered rates,
+timed from each request's scheduled send, and ``low.ms`` / ``high.ms``
+are their median.  On ``analytic`` ``low.ms`` / ``high.ms`` are the time
+of one pass of the queries on small (n <= 1000) and large (n >= 10^5)
+inputs, each query at its fastest over the passes (see :mod:`analytic`).
+``ok_ratio`` is one minus failed, shed and timed-out requests (or failed
+checks) over those attempted.
 
-The tails, ``low.tail_ms`` and ``high.tail_ms``, are the median over
-consecutive chunks of at least 150 samples of each chunk's highest
-percentile with ten samples beyond it (about the 94th; see
-:func:`loadgen.chunked_tail`).  They vary too much from run to run on a
-shared 2-core box to carry a regression bound, so only the traced run
-prints them, as ``trace.low.tail_ms`` and ``trace.high.tail_ms``; the
-ladder's stop rule uses the same statistic.
+Three figures vary too much from run to run on a shared 2-core box to
+carry a regression bound, so only the traced run prints them, as
+``trace.<name>``:
+
+* the tails, ``low.tail_ms`` and ``high.tail_ms``: on ``serve_hot`` the
+  median over consecutive chunks of at least 150 samples of each chunk's
+  highest percentile with ten samples beyond it (about the 94th; see
+  :func:`loadgen.chunked_tail`), on ``analytic`` the slowest pass;
+* ``max_rate_rps``: on ``serve_hot`` the highest ladder rate meeting the
+  limits (the ladder's stop rule uses the chunked tail), on ``analytic``
+  the queries per second of a pass at each query's fastest.
 
 ``--trace 1`` runs the same workload with spans around each layer's
 calls and prints the per-layer metrics instead, plus the traced run's own
 end-to-end values as ``trace.<metric>``; ``--repeat N`` with ``--trace
 1`` also runs the untraced twin of each run and prints the overhead.
+``--repeat N --sets S`` runs S sets of N runs, interleaved (one run of
+each set per round, so machine drift hits every set alike), and prints
+how far each set's median of each end-to-end metric moves from the first
+set's, against the metric's bound.
 
 The last line of standard output is the result object; everything else
 goes to standard error.  The exit code is 0 only when the run completed
@@ -54,33 +62,12 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOADS = ("serve_hot", "analytic")
-END_TO_END = (
-    "setup_s", "low.p50_ms", "high.p50_ms", "max_rate_rps", "ok_ratio", "peak_rss_mib",
-)
-#: Per-layer metrics: name -> (unit, the workloads that measure it).
-_SERVE = ("serve_hot",)
-PER_LAYER: dict[str, tuple[str, tuple[str, ...]]] = {
-    **{name: ("count", _SERVE) for name in (
-        "service.requests", "service.batches", "pool.dispatched", "pool.hedges_fired",
-        "pool.retries", "pool.timeouts", "pool.restarts", "pool.breaker_opens")},
-    **{name: ("ratio", _SERVE) for name in (
-        "service.cache_hit_ratio", "service.dedup_ratio", "service.batch_mean",
-        "service.shed_ratio", "pool.dispatch_per_exec", "pool.hedge_ratio",
-        "pool.hedge_win_ratio", "router.shard_skew")},
-    **{name: ("ms", _SERVE) for name in (
-        "tcp.ping_rtt_ms", "loadgen.late_p99_ms", "spec.decode_ms", "service.submit_p50_ms",
-        "service.submit_p99_ms", "service.window_wait_ms", "pool.execute_p50_ms",
-        "pool.execute_p99_ms", "worker.engine_ms", "pool.ipc_ms")},
-    "engine.cache_lookups": ("count", WORKLOADS),
-    "engine.cache_hit_ratio": ("ratio", WORKLOADS),
-    **{name: ("ms", ("analytic",)) for name in (
-        "independent.rank_ms", "independent.topk_ms", "independent.rank_many_ms",
-        "independent.prfomega_ms", "approx.rank_ms", "andxor.cold_ms",
-        "andxor.warm_sweep_ms", "andxor.prfomega_ms", "markov.cold_ms",
-        "markov.warm_sweep_ms")},
-    "topk.examined": ("count", ("analytic",)),
-    "approx.terms": ("count", ("analytic",)),
-}
+
+
+def _declared(section: str) -> dict[str, str]:
+    """Metric name -> unit, for one metric list of ``BENCHMARK.json``."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {metric["name"]: metric["unit"] for metric in spec[section]}
 
 
 def _run_once(args: argparse.Namespace) -> int:
@@ -109,28 +96,24 @@ def _run_once(args: argparse.Namespace) -> int:
         shutil.rmtree(out, ignore_errors=True)
     print(json.dumps(result.pop("report"), default=str), file=sys.stderr)
     if traced:
-        metrics = {}
-        missing = []
-        for name, (unit, workloads) in PER_LAYER.items():
-            if args.workload in workloads:
-                metrics[name] = {"value": float(result["layers"][name]), "unit": unit}
-            else:
-                metrics[name] = {"value": 0.0, "unit": unit}
-                missing.append(name)
-        for name, (value, unit) in result["metrics"].items():
-            metrics[f"trace.{name}"] = {"value": float(value), "unit": unit}
+        # ``trace.<metric>`` is the traced run's own end-to-end value; every
+        # other per-layer metric comes from the workload's layers, and is 0
+        # where the workload never touches that layer.
+        values = {**result["layers"],
+                  **{f"trace.{name}": value for name, value in result["metrics"].items()}}
+        declared = _declared("per_layer")
+        missing = [name for name in declared if name not in values]
         if missing:
             print(f"not measured on {args.workload} (its layers are not on this path; "
                   f"reported as 0): {', '.join(missing)}", file=sys.stderr)
+            values.update(dict.fromkeys(missing, 0.0))
     else:
-        # The tails are left out: their run-to-run spread on a shared 2-core
-        # box (IQR up to 0.28-0.37 of the median) exceeds any usable bound.
-        # The traced run reports them as ``trace.low.tail_ms`` and
-        # ``trace.high.tail_ms``.
-        metrics = {
-            name: {"value": float(result["metrics"][name][0]), "unit": result["metrics"][name][1]}
-            for name in END_TO_END
-        }
+        # The tails and the ladder's rate are not declared here (see the
+        # module docstring); the traced run reports them.
+        values = result["metrics"]
+        declared = _declared("end_to_end")
+    metrics = {name: {"value": float(values[name]), "unit": unit}
+               for name, unit in declared.items()}
     print(json.dumps({
         "correct": bool(result["correct"]),
         "attempted": int(result["attempted"]),
@@ -140,44 +123,74 @@ def _run_once(args: argparse.Namespace) -> int:
     return 0 if result["correct"] else 1
 
 
+def _spread(series: list[float]) -> tuple[float, float, float, float]:
+    """Median, first and third quartile, and their distance over the median."""
+    mid = statistics.median(series)
+    q1, _, q3 = statistics.quantiles(series, n=4) if len(series) > 1 else (mid, 0, mid)
+    return mid, q1, q3, (q3 - q1) / mid if mid else 0.0
+
+
 def _repeat(args: argparse.Namespace) -> int:
-    """Run the workload ``--repeat`` times on successive seeds; print spreads."""
+    """Run ``--sets`` interleaved sets of ``--repeat`` runs; print spreads and shifts.
+
+    Set ``s`` runs seeds ``--seed + 1000 s`` onwards.
+    """
     modes = [args.trace] if not args.trace else [0, 1]
-    values: dict[int, dict[str, list[float]]] = {mode: {} for mode in modes}
+    values: dict[tuple[int, int], dict[str, list[float]]] = {
+        (group, mode): {} for group in range(args.sets) for mode in modes
+    }
     status = 0
     for offset in range(args.repeat):
-        for mode in modes:
-            command = [sys.executable, str(HERE / "run.py"), "--workload", args.workload,
-                       "--seed", str(args.seed + offset), "--seconds", str(args.seconds),
-                       "--trace", str(mode)]
-            done = subprocess.run(command, capture_output=True, text=True, cwd=ROOT)
-            lines = done.stdout.strip().splitlines()
-            if done.returncode != 0 or not lines:
-                print(done.stderr[-3000:], file=sys.stderr)
-                status = 1
-                continue
-            result = json.loads(lines[-1])
-            for name, metric in result["metrics"].items():
-                values[mode].setdefault(name, []).append(metric["value"])
-            print(f"seed {args.seed + offset} trace {mode}: " + json.dumps(
-                {k: round(v["value"], 4) for k, v in result["metrics"].items()}
-            ), file=sys.stderr)
-    for mode in modes:
-        print(f"# {args.workload} trace={mode} runs={args.repeat}")
+        for group in range(args.sets):
+            seed = args.seed + 1000 * group + offset
+            for mode in modes:
+                command = [sys.executable, str(HERE / "run.py"), "--workload", args.workload,
+                           "--seed", str(seed), "--seconds", str(args.seconds),
+                           "--trace", str(mode)]
+                done = subprocess.run(command, capture_output=True, text=True, cwd=ROOT)
+                lines = done.stdout.strip().splitlines()
+                if done.returncode != 0 or not lines:
+                    print(done.stderr[-3000:], file=sys.stderr)
+                    status = 1
+                    continue
+                result = json.loads(lines[-1])
+                for name, metric in result["metrics"].items():
+                    values[group, mode].setdefault(name, []).append(metric["value"])
+                print(f"set {group} seed {seed} trace {mode}: " + json.dumps(
+                    {k: round(v["value"], 4) for k, v in result["metrics"].items()}
+                ), file=sys.stderr)
+    for (group, mode), series_by_name in values.items():
+        print(f"# {args.workload} set={group} trace={mode} runs={args.repeat}")
         print(f"{'metric':32s} {'median':>12s} {'q1':>12s} {'q3':>12s} {'spread':>8s}")
-        for name, series in values[mode].items():
-            mid = statistics.median(series)
-            q1, _, q3 = statistics.quantiles(series, n=4) if len(series) > 1 else (mid, 0, mid)
-            spread = (q3 - q1) / mid if mid else 0.0
+        for name, series in series_by_name.items():
+            mid, q1, q3, spread = _spread(series)
             print(f"{name:32s} {mid:12.4f} {q1:12.4f} {q3:12.4f} {spread:8.3f}")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.sets > 1 and not args.trace:
+        print("# set medians against set 0 (+ is worse), and each set's spread, vs the bound")
+        for metric in spec["end_to_end"]:
+            name, bound = metric["name"], metric["bound"]
+            first = values[0, 0].get(name)
+            for group in range(1, args.sets):
+                other = values[group, 0].get(name)
+                if not first or not other:
+                    continue
+                shift = statistics.median(other) / statistics.median(first) - 1.0
+                worse = shift if metric["better"] == "lower" else -shift
+                spreads = [_spread(values[g, 0][name])[3] for g in range(args.sets)]
+                # The set-up time's spread is not held to its bound, only its shift.
+                steady = name == "setup_s" or max(spreads) <= bound
+                verdict = "ok" if worse <= bound and steady else "OUTSIDE THE BOUND"
+                print(f"{name:32s} set {group} {worse:+8.3f} spreads "
+                      f"{' '.join(f'{s:.3f}' for s in spreads)} bound {bound:.2f} {verdict}")
     if len(modes) == 2:
         print("# tracing overhead (traced median / untraced median - 1)")
-        for name in END_TO_END:
-            plain = values[0].get(name)
-            traced = values[1].get(f"trace.{name}")
+        for metric in spec["end_to_end"]:
+            plain = values[0, 0].get(metric["name"])
+            traced = values[0, 1].get(f"trace.{metric['name']}")
             if plain and traced:
                 ratio = statistics.median(traced) / statistics.median(plain) - 1.0
-                print(f"{name:32s} {ratio:+8.3f}")
+                print(f"{metric['name']:32s} {ratio:+8.3f}")
     return status
 
 
@@ -190,6 +203,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--repeat", type=int, default=0,
                         help="run N times on successive seeds and print medians and spreads")
+    parser.add_argument("--sets", type=int, default=1,
+                        help="with --repeat: run this many interleaved sets and compare them")
     args = parser.parse_args(argv)
     if args.repeat:
         return _repeat(args)

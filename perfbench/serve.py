@@ -3,9 +3,12 @@
 It starts the real server (``python -m repro.service --pool-shards 2``,
 every other flag at its default, on a free port) and drives it with
 :class:`loadgen.LoadGenerator` through fixed-rate phases (``low`` and
-``high``) and then a ladder of rising rates that stops at the first rate
-missing the limits of :func:`loadgen.step_passes` on every try, and
-bisects between it and the last rate that met them.
+``high``).  The traced run then climbs a ladder of rising rates that
+stops at the first rate missing the limits of
+:func:`loadgen.step_passes` on every try, and bisects between it and the
+last rate that met them.  Only the traced run climbs it: the capacity it
+finds swung by half from run to run on a shared 2-core box (10 runs:
+194-1697 rps), too much for any regression bound.
 
 The traffic ranks a registered hot set by reference.  Each of 256 users
 has a learned PRFe alpha, so the result cache serves about the 30% of
@@ -46,7 +49,7 @@ from repro.service.spec import dataset_to_payload, encode_value
 #: Offered rates (requests per second) of the fixed-rate phases.
 RATES = {"low": 40.0, "high": 150.0}
 #: Share of ``--seconds`` spent in each fixed-rate phase, and in each ladder rung.
-PHASE_SHARE = {"low": 0.3, "high": 0.4}
+PHASE_SHARE = {"low": 0.35, "high": 0.47}
 RUNG_SHARE = 0.05
 #: Share of ``--seconds`` of unmeasured traffic at the high rate before the
 #: phases: a fresh server stalls once or twice for 50-100 ms in its first
@@ -55,12 +58,16 @@ WARMUP_SHARE = 0.18
 #: The ladder (see :func:`loadgen.climb`): rates rise from the high rate by
 #: this factor, each tried up to this many times, with this many rungs at
 #: most before this many bisections.
-LADDER_FACTOR = 1.5
+LADDER_FACTOR = 2.0
 LADDER_TRIES = 2
 LADDER_RUNGS = 12
-BISECTIONS = 2
+BISECTIONS = 3
+#: Seconds of quiet after a failed rung.  Overload trips the pool's
+#: latency-aware breakers (open for 1 s, then half-open trials), and a
+#: rung started before they close measures the recovery, not the rate.
+COOLDOWN = 1.5
 #: Server start-ups per run; ``setup_s`` is their median.
-SETUPS = 3
+SETUPS = 5
 #: Replies per fixed-rate phase compared with in-process answers.
 SAMPLE_PER_PHASE = 32
 #: Seconds between the pings the traced run interleaves.
@@ -233,12 +240,13 @@ async def _setup(root: Path, out: Path, traced: bool, traffic: Traffic, index: i
     return server, generator, time.perf_counter() - start
 
 
-async def _pinger(generator: LoadGenerator, rtts: list[float]) -> None:
+async def _pinger(generator: LoadGenerator, rtts: list[tuple[float, float]]) -> None:
+    """Ping every ``PING_INTERVAL``; append ``(send instant, RTT ms)`` to ``rtts``."""
     while True:
         await asyncio.sleep(PING_INTERVAL)
         start = time.perf_counter()
         await generator.call({"op": "ping"})
-        rtts.append((time.perf_counter() - start) * 1e3)
+        rtts.append((start, (time.perf_counter() - start) * 1e3))
 
 
 async def run(seed: int, seconds: float, traced: bool, root: Path, out: Path) -> dict[str, Any]:
@@ -252,7 +260,7 @@ async def run(seed: int, seconds: float, traced: bool, root: Path, out: Path) ->
         server.stop()
     server, generator, elapsed = await _setup(root, out, traced, traffic, SETUPS - 1)
     setups.append(elapsed)
-    rtts: list[float] = []
+    rtts: list[tuple[float, float]] = []
     pinger = asyncio.get_running_loop().create_task(_pinger(generator, rtts)) if traced else None
     try:
         phases: dict[str, PhaseResult] = {}
@@ -273,11 +281,16 @@ async def run(seed: int, seconds: float, traced: bool, root: Path, out: Path) ->
             duration = RUNG_SHARE * seconds
             requests = traffic.phase(10 + len(ladder), rate, duration)
             ladder.append((await generator.run(requests, rate, duration)).summary())
-            return loadgen.step_passes(ladder[-1])
+            if loadgen.step_passes(ladder[-1]):
+                return True
+            await asyncio.sleep(COOLDOWN)
+            return False
 
-        max_rate = await loadgen.climb(
-            rung, RATES["high"], LADDER_FACTOR, LADDER_RUNGS, BISECTIONS, LADDER_TRIES
-        )
+        max_rate = None
+        if traced:
+            max_rate = await loadgen.climb(
+                rung, RATES["high"], LADDER_FACTOR, LADDER_RUNGS, BISECTIONS, LADDER_TRIES
+            )
         peak_rss = server.peak_rss_mib()
     finally:
         if pinger is not None:
@@ -293,15 +306,16 @@ async def run(seed: int, seconds: float, traced: bool, root: Path, out: Path) ->
     failed = sum(phase.failed for phase in phases.values())
     low, high = phases["low"].summary(), phases["high"].summary()
     metrics = {
-        "setup_s": (float(np.median(setups)), "s"),
-        "low.p50_ms": (low["p50_ms"], "ms"),
-        "low.tail_ms": (low["tail_ms"], "ms"),
-        "high.p50_ms": (high["p50_ms"], "ms"),
-        "high.tail_ms": (high["tail_ms"], "ms"),
-        "max_rate_rps": (max_rate, "1/s"),
-        "ok_ratio": (1.0 - failed / attempted, "ratio"),
-        "peak_rss_mib": (peak_rss, "MiB"),
+        "setup_s": float(np.median(setups)),
+        "low.ms": low["p50_ms"],
+        "low.tail_ms": low["tail_ms"],
+        "high.ms": high["p50_ms"],
+        "high.tail_ms": high["tail_ms"],
+        "ok_ratio": 1.0 - failed / attempted,
+        "peak_rss_mib": peak_rss,
     }
+    if max_rate is not None:
+        metrics["max_rate_rps"] = max_rate
     report = {
         "phases": {"low": low, "high": high},
         "ladder": ladder,
@@ -336,8 +350,11 @@ def _p50(values: list[float]) -> float:
 
 
 def _layers(before: dict[str, Any], after: dict[str, Any], phases: dict[str, PhaseResult],
-            spans_dir: Path, rtts: list[float]) -> dict[str, float]:
+            spans_dir: Path, rtts: list[tuple[float, float]]) -> dict[str, float]:
     """Counter deltas over the fixed-rate phases, plus span statistics."""
+    # The fixed-rate phases only: the ladder starts as soon as they drain.
+    start = phases["low"].start
+    end = max(r.done or r.due for r in phases["high"].requests)
     def delta(key: str) -> int:
         return after[key] - before[key]
 
@@ -378,12 +395,9 @@ def _layers(before: dict[str, Any], after: dict[str, Any], phases: dict[str, Pha
         "router.shard_skew": _ratio(
             max(executed_per_shard), sum(executed_per_shard) / len(executed_per_shard)
         ),
-        "tcp.ping_rtt_ms": _p50(rtts),
+        "tcp.ping_rtt_ms": _p50([rtt for sent, rtt in rtts if start <= sent <= end]),
         "loadgen.late_p99_ms": max(phase.summary()["late_p99_ms"] for phase in phases.values()),
     }
-    # The fixed-rate phases only: the ladder starts as soon as they drain.
-    start = phases["low"].start
-    end = max(r.done or r.due for r in phases["high"].requests)
     spans = [s for s in json.loads((spans_dir / "parent.json").read_text()) if start <= s[1] <= end]
     decode: dict[Any, float] = {}
     by_name: dict[str, list[float]] = {}
