@@ -10,8 +10,8 @@ incremental Algorithm 3 for trees, junction-tree dynamic programs for
 networks), all sharing one LRU cache keyed on dataset content
 fingerprints: sorted orders, prefix and positional matrices, memoized
 PRFe value vectors and calibrated junction trees survive across calls.
-An optional process-pool sharding layer handles very large independent
-batches.
+The engine runs in-process; multi-process scale-out is the serving
+tier's :class:`~repro.service.pool.WorkerPool`.
 
 Quickstart — one batch may freely mix correlation models::
 

@@ -168,7 +168,7 @@ class IndependentBackend(RankingBackend):
         rf: RankingFunction,
         store: bool = True,
     ) -> list[RankingResult]:
-        """Serial stacked evaluation of a batch (sharding lives in the planner)."""
+        """Stacked evaluation of a batch of independent relations."""
         results: list[RankingResult | None] = [None] * len(relations)
         groups: dict[int, list[int]] = {}
         for index, relation in enumerate(relations):

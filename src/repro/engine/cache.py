@@ -259,42 +259,20 @@ def _drop_array_extras(extras: dict) -> None:
         del extras[key]
 
 
-@dataclass
-class CachedRelation:
-    """The cached intermediates of one relation."""
+class _PrefixEntry:
+    """The prefix-matrix methods shared by both independent-model entries.
 
-    ordered: list[Tuple]
-    probabilities: np.ndarray  # score-descending order, aligned with ``ordered``
-    prefix: np.ndarray | None = None  # (n, limit_computed) or None
-    extras: dict[Any, Any] = field(default_factory=dict)
-    #: Weak reference to the relation the ``ordered`` Tuple objects came
-    #: from, so a content-equal but distinct relation gets results carrying
-    #: its *own* tuples (legacy identity semantics) instead of aliases.
-    source: weakref.ref | None = field(default=None, repr=False)
-    #: Guards prefix growth: concurrent growers at different limits must
-    #: not overwrite a wide matrix with a narrow one.
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    Subclasses provide ``probabilities`` (score-descending), ``prefix``,
+    ``extras``, ``lock`` and ``n``.
+    """
 
-    @property
-    def n(self) -> int:
-        """Number of tuples in the cached dataset."""
-        return len(self.ordered)
-
-    def elements(self) -> int:
-        """Cached size in float64-equivalent elements (for the eviction budget).
-
-        Counts the probability vector, the prefix matrix and any array
-        payloads stashed in ``extras`` (e.g. the sort columns, whose
-        unicode tid array can dominate), normalizing by 8 bytes/element.
-        """
-        total_bytes = self.probabilities.nbytes
-        if self.prefix is not None:
-            total_bytes += self.prefix.nbytes
-        total_bytes += _extras_bytes(self.extras)
-        return total_bytes // 8
+    probabilities: np.ndarray
+    prefix: np.ndarray | None
+    extras: dict[Any, Any]
+    lock: threading.Lock
 
     def shed(self) -> None:
-        """Drop the heavy arrays, keeping the cheap sorted order (see eviction).
+        """Drop the heavy arrays, keeping the sorted order (see eviction).
 
         Takes the entry lock: ``prefix`` is lock-guarded everywhere else,
         and an unlocked wipe could interleave with a concurrent
@@ -339,7 +317,42 @@ class CachedRelation:
 
 
 @dataclass
-class CachedColumnar:
+class CachedRelation(_PrefixEntry):
+    """The cached intermediates of one relation."""
+
+    ordered: list[Tuple]
+    probabilities: np.ndarray  # score-descending order, aligned with ``ordered``
+    prefix: np.ndarray | None = None  # (n, limit_computed) or None
+    extras: dict[Any, Any] = field(default_factory=dict)
+    #: Weak reference to the relation the ``ordered`` Tuple objects came
+    #: from, so a content-equal but distinct relation gets results carrying
+    #: its *own* tuples (legacy identity semantics) instead of aliases.
+    source: weakref.ref | None = field(default=None, repr=False)
+    #: Guards prefix growth: concurrent growers at different limits must
+    #: not overwrite a wide matrix with a narrow one.
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    @property
+    def n(self) -> int:
+        """Number of tuples in the cached dataset."""
+        return len(self.ordered)
+
+    def elements(self) -> int:
+        """Cached size in float64-equivalent elements (for the eviction budget).
+
+        Counts the probability vector, the prefix matrix and any array
+        payloads stashed in ``extras`` (e.g. the sort columns, whose
+        unicode tid array can dominate), normalizing by 8 bytes/element.
+        """
+        total_bytes = self.probabilities.nbytes
+        if self.prefix is not None:
+            total_bytes += self.prefix.nbytes
+        total_bytes += _extras_bytes(self.extras)
+        return total_bytes // 8
+
+
+@dataclass
+class CachedColumnar(_PrefixEntry):
     """The cached intermediates of one columnar relation.
 
     Unlike :class:`CachedRelation`, no ``Tuple`` list exists up front:
@@ -385,15 +398,6 @@ class CachedColumnar:
         total_bytes += _extras_bytes(self.extras)
         return total_bytes // 8
 
-    def shed(self) -> None:
-        """Drop the heavy derived arrays, keeping the columns themselves.
-
-        Locked for the same reason as :meth:`CachedRelation.shed`.
-        """
-        with self.lock:
-            self.prefix = None
-            _drop_array_extras(self.extras)
-
     def sort_columns(self, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """``(scores, tid strings)`` in score-descending order.
 
@@ -416,33 +420,6 @@ class CachedColumnar:
         relation = self.relation
         i = int(relation.order()[position])
         return Tuple(relation.tid_of(i), relation.scores()[i], relation.probabilities()[i])
-
-    def prefix_matrix(self, limit: int) -> np.ndarray:
-        """The prefix polynomial matrix truncated to ``limit`` columns.
-
-        Same grow-or-slice contract as :meth:`CachedRelation.prefix_matrix`.
-        """
-        from ..algorithms.independent import prefix_polynomial_matrix
-
-        with self.lock:
-            prefix = self.prefix
-            if prefix is None or prefix.shape[1] < limit:
-                prefix = prefix_polynomial_matrix(self.probabilities, limit)
-                self.prefix = prefix
-        return prefix[:, :limit]
-
-    def store_prefix(self, matrix: np.ndarray) -> None:
-        """Adopt an externally computed prefix matrix if wider than the cached one."""
-        with self.lock:
-            if self.prefix is None or self.prefix.shape[1] < matrix.shape[1]:
-                self.prefix = matrix
-
-    def positional_matrix(self, limit: int) -> np.ndarray:
-        """``Pr(r(t_i) = j)`` for ``j = 1 .. limit`` from the cached prefix."""
-        prefix = self.prefix_matrix(limit)
-        if self.n == 0 or limit == 0:
-            return prefix
-        return prefix * self.probabilities[:, None]
 
 
 @dataclass

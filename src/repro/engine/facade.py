@@ -15,8 +15,7 @@ against one shared fingerprint-keyed LRU cache:
 * :meth:`Engine.rank_batch` — many datasets, one ranking function.  The
   batch may freely mix correlation models; each model's slice runs
   through its backend (equal-size independent relations are stacked into
-  single kernel invocations, large independent slices can shard across a
-  process pool) and results come back in input order.
+  single kernel invocations) and results come back in input order.
 * :meth:`Engine.rank_many` — one dataset, many ranking functions,
   sharing the sort and the per-model hot intermediate across specs.
 * :meth:`Engine.positional_matrix` / :meth:`Engine.rank_distribution` /
@@ -108,14 +107,6 @@ class Engine:
         kernel allocation; batches are chunked to respect it and
         over-budget single relations fall back to the streaming
         single-relation algorithms.
-    workers:
-        Default process-pool size for :meth:`rank_batch`.  ``None`` or
-        ``1`` keeps everything in-process; sharding only engages for the
-        tuple-independent slice of a batch, and only when it holds at
-        least ``shard_min_batch`` relations.
-    shard_min_batch:
-        Minimum (independent) batch size before the process pool is
-        considered.
     """
 
     def __init__(
@@ -124,15 +115,11 @@ class Engine:
         cache_relations: int = 64,
         cache_elements: int = 32_000_000,
         max_batch_elements: int = 16_000_000,
-        workers: int | None = None,
-        shard_min_batch: int = 16,
     ) -> None:
         if max_batch_elements < 1:
             raise ValueError(f"max_batch_elements must be >= 1, got {max_batch_elements}")
         self.cache = RelationCache(cache_relations, cache_elements)
         self.max_batch_elements = int(max_batch_elements)
-        self.workers = workers
-        self.shard_min_batch = int(shard_min_batch)
         #: The pluggable per-correlation-model execution strategies, in
         #: planner probe order.
         self.backends: tuple[RankingBackend, ...] = (
@@ -334,7 +321,6 @@ class Engine:
         datasets: Iterable[Any],
         rf: RankingFunction,
         *,
-        workers: int | None = None,
         top_k: int | None = None,
         approx: float | None = None,
     ) -> list[RankingResult]:
@@ -342,9 +328,7 @@ class Engine:
 
         The planner partitions the batch by model and hands each slice to
         its backend: equal-cardinality independent relations are stacked
-        into single vectorized kernel invocations (with ``workers > 1``
-        and at least ``shard_min_batch`` of them, partitioned across a
-        process pool with chunked array transfer); trees and networks run
+        into single vectorized kernel invocations; trees and networks run
         through their cached evaluators.  Results come back in input
         order, bit-identical to the legacy per-model entry points.
 
@@ -352,8 +336,7 @@ class Engine:
         items (equal to the head of the dataset's full ranking) and
         prunable PRFe specs route through the per-dataset
         early-termination path instead of the stacked kernels — examined
-        prefix lengths differ per dataset, so there is nothing to stack,
-        and sharding is skipped.
+        prefix lengths differ per dataset, so there is nothing to stack.
 
         ``approx=epsilon`` resolves the exact-vs-approximate decision per
         dataset (the certified bound depends on the dataset size); the
@@ -379,7 +362,6 @@ class Engine:
                     group_results = self.rank_batch(
                         [datasets[i] for i in indices],
                         effective,
-                        workers=workers,
                         top_k=top_k,
                     )
                     for index, result in zip(indices, group_results):
@@ -398,19 +380,12 @@ class Engine:
         store = len(datasets) <= self.cache.max_relations
         for backend, indices in by_backend.values():
             subset = [datasets[i] for i in indices]
-            subset_results: list[RankingResult] | None = None
             if top_k is not None:
                 subset_results = [
                     backend.rank_top_k(data, rf, top_k, store=store)[0]
                     for data in subset
                 ]
-            elif isinstance(backend, IndependentBackend):
-                pool_size = self.workers if workers is None else workers
-                if pool_size and pool_size > 1 and len(subset) >= self.shard_min_batch:
-                    from .sharding import shard_rank_batch
-
-                    subset_results = shard_rank_batch(subset, rf, workers=pool_size)
-            if subset_results is None:
+            else:
                 subset_results = backend.rank_batch(subset, rf, store=store)
             for index, result in zip(indices, subset_results):
                 results[index] = result
@@ -421,7 +396,6 @@ class Engine:
         datasets: Iterable[Any],
         rf: RankingFunction,
         *,
-        workers: int | None = None,
         top_k: int | None = None,
         approx: float | None = None,
     ) -> "concurrent.futures.Future[list[RankingResult]]":
@@ -436,19 +410,9 @@ class Engine:
         truncation and pruning); ``asyncio`` callers can await it via
         :func:`asyncio.wrap_future`.
         """
-        datasets = list(datasets)
-        executor = self._executor()
-        if top_k is None and approx is None:
-            # Keep the historical call shape: subclasses overriding
-            # ``rank_batch`` without the newer parameters stay usable
-            # for full rankings.
-            return executor.submit(self.rank_batch, datasets, rf, workers=workers)
-        kwargs: dict[str, Any] = {"workers": workers}
-        if top_k is not None:
-            kwargs["top_k"] = top_k
-        if approx is not None:
-            kwargs["approx"] = approx
-        return executor.submit(self.rank_batch, datasets, rf, **kwargs)
+        return self._executor().submit(
+            self.rank_batch, list(datasets), rf, top_k=top_k, approx=approx
+        )
 
     def _executor(self) -> concurrent.futures.ThreadPoolExecutor:
         """The lazily created background pool behind :meth:`submit_batch`."""

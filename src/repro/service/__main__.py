@@ -57,10 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound on server-side registered datasets (default: %(default)s)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="engine process-pool size for very large independent batches",
-    )
-    parser.add_argument(
         "--pool-shards", type=int, default=0,
         help="run a sharded worker pool of this many engine processes "
         "behind the coalescer (0 = single in-process engine, default)",
@@ -119,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 async def run(args: argparse.Namespace) -> None:
     """Start the service and serve until cancelled."""
-    engine = Engine(workers=args.workers)
+    engine = Engine()
     service_kwargs: dict[str, Any] = dict(
         max_batch=args.max_batch,
         max_delay=args.max_delay_ms / 1000.0,

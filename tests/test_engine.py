@@ -1,9 +1,9 @@
 """Tests for the batched vectorized ranking engine.
 
 The core contract: every engine entry point (``rank``, ``rank_batch``,
-``rank_many``, sharded or serial) must produce rankings identical to the
-per-relation :func:`repro.algorithms.independent.rank_independent` path
-for every member of the PRF family.
+``rank_many``) must produce rankings identical to the per-relation
+:func:`repro.algorithms.independent.rank_independent` path for every
+member of the PRF family.
 """
 
 from __future__ import annotations
@@ -102,6 +102,33 @@ class TestBatchVersusSingle:
         engine = Engine()
         results = engine.rank_batch(relations, PRFe(0.9))
         assert [result.name for result in results] == [r.name for r in relations]
+
+    def test_batch_results_carry_the_callers_tuples(self):
+        from repro import Tuple
+
+        def make(j):
+            return ProbabilisticRelation(
+                [
+                    Tuple(f"t{i}", float(10 - i), (j + 1) / 10, attributes={"payload": i})
+                    for i in range(6)
+                ],
+                name=f"attr-{j}",
+            )
+
+        engine = Engine()
+        relations = [make(j) for j in range(8)]
+        engine.rank_batch(relations, PRFe(0.9))
+        # A content-equal but distinct twin of relations[0] is served from
+        # its warm cache entry, which rebinds the entry to the twin's tuples.
+        twin = make(0)
+        batch = relations[1:] + [twin]
+        results = engine.rank_batch(batch, PRFe(0.9))
+        assert engine.cache_stats()["hits"] == len(batch)
+        for relation, result in zip(batch, results):
+            assert len(result) == len(relation)
+            for item in result:
+                assert item.item is relation.get(item.tid)
+                assert item.item.attributes == {"payload": int(item.tid[1:])}
 
     def test_empty_batch(self):
         assert Engine().rank_batch([], PRFe(0.9)) == []
@@ -236,46 +263,6 @@ class TestCache:
         _, wide = engine.positional_matrix(relation)
         _, narrow = engine.positional_matrix(relation, max_rank=2)
         assert np.array_equal(wide[:, :2], narrow)
-
-
-class TestSharding:
-    def test_sharded_batch_matches_serial(self):
-        rng = np.random.default_rng(37)
-        relations = make_relations(24, rng)
-        serial = Engine().rank_batch(relations, PRFe(0.95))
-        sharded = Engine(workers=2, shard_min_batch=4).rank_batch(relations, PRFe(0.95))
-        for a, b in zip(serial, sharded):
-            assert a.tids() == b.tids()
-            assert [item.value for item in a] == pytest.approx(
-                [item.value for item in b]
-            )
-
-    def test_unpicklable_ranking_function_falls_back_to_serial(self):
-        rng = np.random.default_rng(41)
-        relations = make_relations(8, rng)
-        rf = PRF(lambda i: 1.0 / i)
-        engine = Engine(workers=2, shard_min_batch=2)
-        results = engine.rank_batch(relations, rf)
-        for relation, result in zip(relations, results):
-            assert result.tids() == rank_independent(relation, rf).tids()
-
-    def test_sharding_preserves_tuple_attributes(self):
-        from repro import Tuple
-
-        relations = [
-            ProbabilisticRelation(
-                [
-                    Tuple(f"t{i}", float(10 - i), 0.5, attributes={"payload": i})
-                    for i in range(6)
-                ],
-                name=f"attr-{j}",
-            )
-            for j in range(8)
-        ]
-        engine = Engine(workers=2, shard_min_batch=2)
-        results = engine.rank_batch(relations, PRFe(0.9))
-        for result in results:
-            assert all(item.item.attributes["payload"] is not None for item in result)
 
 
 class TestDefaultEngineRouting:

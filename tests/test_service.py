@@ -91,12 +91,12 @@ class CountingEngine(Engine):
         self.calls: list[int] = []
         self.block: threading.Event | None = None
 
-    def rank_batch(self, datasets, rf, *, workers=None):
+    def rank_batch(self, datasets, rf, **kwargs):
         datasets = list(datasets)
         self.calls.append(len(datasets))
         if self.block is not None:
             self.block.wait(timeout=10.0)
-        return super().rank_batch(datasets, rf, workers=workers)
+        return super().rank_batch(datasets, rf, **kwargs)
 
 
 class TestBitwiseEquality:
