@@ -188,10 +188,16 @@ class IndependentBackend(RankingBackend):
                     chunk_entries, n, rf, cache_rows=store
                 )
                 for row, index in enumerate(chunk_indices):
+                    relation = relations[index]
                     entry = chunk_entries[row]
+                    if entry.source is None or entry.source() is not relation:
+                        # A content-equal twin looked up later in the batch
+                        # rebound the shared entry to its own tuples/columns;
+                        # point it back at this relation before building.
+                        entry = self.entry(relation, store=store)
                     keys = sort_keys[row] if sort_keys is not None else None
                     results[index] = build_result(
-                        entry, values[row], relations[index].name, sort_keys=keys
+                        entry, values[row], relation.name, sort_keys=keys
                     )
         self.cache.enforce_budget()
         return [result for result in results if result is not None]

@@ -38,7 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-delay-ms", type=float, default=2.0,
-        help="coalescing window in milliseconds (default: %(default)s)",
+        help="upper bound of the adaptive coalescing window in milliseconds; "
+        "a window closes earlier once the next request is not expected "
+        "inside it (default: %(default)s)",
     )
     parser.add_argument(
         "--max-pending", type=int, default=1024,
@@ -166,7 +168,7 @@ async def run(args: argparse.Namespace) -> None:
         )
         print(f"ranking service listening on {addresses}")
         print(
-            f"  coalescing: window={args.max_delay_ms}ms batch<={args.max_batch} "
+            f"  coalescing: window<={args.max_delay_ms}ms batch<={args.max_batch} "
             f"pending<={args.max_pending} cache_ttl={args.cache_ttl}s"
         )
         if args.pool_shards > 0:

@@ -12,11 +12,16 @@ single-dataset rank requests; the service
 3. **sheds load** once the number of admitted-but-unfinished requests
    reaches ``max_pending`` (raising :class:`ServiceOverloadedError`
    rather than queueing unboundedly), and
-4. **coalesces** everything else in a micro-batching loop — a window
-   closes after ``max_delay`` seconds or ``max_batch`` requests,
-   whichever comes first — and executes each window through the
-   engine's non-blocking :meth:`~repro.engine.facade.Engine.
-   submit_batch`, so one stacked kernel invocation serves many clients.
+4. **coalesces** everything else in a micro-batching loop and executes
+   each window through the engine's non-blocking
+   :meth:`~repro.engine.facade.Engine.submit_batch`, so one stacked
+   kernel invocation serves many clients.  The window is adaptive: it
+   always takes whatever is already queued, but waits for more only
+   while the next arrival is expected inside it — an EWMA of the gap
+   between admitted requests must be shorter than the time left.  It
+   closes at once under sparse traffic and stays open under dense
+   traffic, capped at ``max_delay`` seconds or ``max_batch`` requests,
+   whichever comes first.
 
 Replies are **bit-identical** to direct ``Engine.rank`` calls: the
 service never re-sorts, rescales or re-labels values, it only routes
@@ -32,6 +37,7 @@ free to early-terminate the kernels (see :mod:`repro.engine.topk`).
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -261,8 +267,11 @@ class RankingService:
     max_batch:
         Upper bound on requests per coalesced window.
     max_delay:
-        Seconds a window stays open after its first request (the
-        latency the service is willing to trade for batching).
+        Upper bound, in seconds, on how long a window stays open after
+        its first request (the latency the service is willing to trade
+        for batching).  The window closes earlier once the estimated
+        gap to the next admitted request exceeds the time it has left,
+        so a lone request does not wait at all.
     max_pending:
         Admission bound — requests beyond this many
         admitted-but-unfinished ones are shed with
@@ -283,6 +292,10 @@ class RankingService:
             reply = await service.submit(relation, PRFe(0.95))
     """
 
+    #: Weight of the newest inter-arrival gap in the EWMA that decides
+    #: whether a coalescing window waits for another request.
+    ARRIVAL_GAP_WEIGHT = 0.25
+
     def __init__(
         self,
         engine: Engine | None = None,
@@ -298,6 +311,8 @@ class RankingService:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
+        if not math.isfinite(max_delay) or max_delay < 0.0:
+            raise ValueError(f"max_delay must be finite and >= 0, got {max_delay}")
         self.engine = engine if engine is not None else Engine()
         self.max_batch = int(max_batch)
         self.max_delay = float(max_delay)
@@ -308,6 +323,10 @@ class RankingService:
         self._inflight: dict[Hashable, "asyncio.Future[ServiceReply]"] = {}
         self._pending = 0
         self._loop_task: asyncio.Task[None] | None = None
+        # EWMA of the seconds between admitted requests (``inf`` until two
+        # have arrived) and the admission instant it measures from.
+        self._arrival_gap: float = math.inf
+        self._last_admitted: float = -math.inf
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -422,6 +441,7 @@ class RankingService:
         if key is not None:
             self._inflight[key] = future
         self._pending += 1
+        self._observe_arrival()
         self._queue.put_nowait(request)
         return await asyncio.shield(future)
 
@@ -459,8 +479,18 @@ class RankingService:
     # ------------------------------------------------------------------
     # The micro-batching loop
     # ------------------------------------------------------------------
+    def _observe_arrival(self) -> None:
+        """Fold the gap since the previous admitted request into the EWMA."""
+        now = time.monotonic()
+        gap = now - self._last_admitted
+        if math.isinf(self._arrival_gap):
+            self._arrival_gap = gap
+        else:
+            self._arrival_gap += self.ARRIVAL_GAP_WEIGHT * (gap - self._arrival_gap)
+        self._last_admitted = now
+
     async def _run(self) -> None:
-        """Collect time/size-bounded windows off the queue and execute them."""
+        """Collect adaptive, time/size-bounded windows and execute them."""
         while True:
             first = await self._queue.get()
             if first is None:
@@ -470,8 +500,10 @@ class RankingService:
             stop = False
             while len(batch) < self.max_batch:
                 remaining = deadline - time.monotonic()
-                if remaining <= 0.0:
-                    # Window expired: drain only what is already queued.
+                if remaining <= self._arrival_gap:
+                    # The window expired, or the next arrival is not
+                    # expected before it would: drain only what is
+                    # already queued (``_arrival_gap >= 0`` covers expiry).
                     try:
                         request = self._queue.get_nowait()
                     except asyncio.QueueEmpty:

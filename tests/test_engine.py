@@ -21,6 +21,7 @@ from repro import (
     rank,
 )
 from repro.algorithms.independent import positional_probabilities, rank_independent
+from repro.core.columnar import ColumnarRelation
 from repro.core.weights import NDCGDiscountWeight, StepWeight
 from repro.engine import RelationCache, relation_fingerprint
 
@@ -129,6 +130,39 @@ class TestBatchVersusSingle:
             for item in result:
                 assert item.item is relation.get(item.tid)
                 assert item.item.attributes == {"payload": int(item.tid[1:])}
+
+    @pytest.mark.parametrize("store", [True, False])
+    def test_twin_pair_in_one_batch_keeps_each_callers_tuples(self, store):
+        from repro import Tuple
+
+        def make():
+            return ProbabilisticRelation(
+                [Tuple(f"t{i}", float(10 - i), 0.1 * (i + 1)) for i in range(6)],
+                name="twin",
+            )
+
+        first, second = make(), make()
+        engine = Engine()
+        if not store:
+            # Warm the shared entry so both twins hit it despite store=False.
+            engine.rank(make(), PRFe(0.9))
+        results = engine.backend_for(first).rank_batch(
+            [first, second], PRFe(0.9), store=store
+        )
+        for relation, result in zip((first, second), results):
+            assert len(result) == len(relation)
+            for item in result:
+                assert item.item is relation.get(item.tid)
+
+    def test_columnar_twin_pair_in_one_batch_keeps_each_callers_columns(self):
+        rng = np.random.default_rng(17)
+        scores, probabilities = rng.uniform(0, 100, 30), rng.uniform(0, 1, 30)
+        first = ColumnarRelation(scores, probabilities, name="twin")
+        second = ColumnarRelation(scores.copy(), probabilities.copy(), name="twin")
+        results = Engine().rank_batch([first, second], PRFe(0.9))
+        assert results[0].relation is first
+        assert results[1].relation is second
+        assert results[0].tids() == results[1].tids()
 
     def test_empty_batch(self):
         assert Engine().rank_batch([], PRFe(0.9)) == []

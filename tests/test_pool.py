@@ -719,6 +719,22 @@ class TestPooledService:
         assert topk.k == 5
         assert approx.approx is not None and approx.approx["budget"] == 1e-3
 
+    def test_lone_request_does_not_wait_out_max_delay(self):
+        rel = make_relation(20, 95)
+        expected = Engine().rank(rel, PRFe(0.9), name=rel.name)
+
+        async def scenario():
+            pool = thread_pool(2)
+            async with PooledRankingService(pool, max_delay=1.0) as service:
+                start = time.monotonic()
+                reply = await service.submit(rel, PRFe(0.9), name=rel.name)
+                return reply, time.monotonic() - start
+
+        reply, elapsed = run(scenario())
+        assert elapsed < 0.2
+        assert reply.batch_size == 1
+        assert_bitwise_equal(reply.result, expected)
+
     def test_cli_parser_accepts_pool_flags(self):
         args = build_parser().parse_args(
             ["--pool-shards", "4", "--shard-depth", "8", "--pool-retries", "1",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -389,6 +390,58 @@ class TestLifecycle:
         assert snapshot["requests"] == 1
         assert "hits" in snapshot["engine_cache"]
         assert "entries" in snapshot["engine_cache"]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_batch": 0},
+            {"max_pending": 0},
+            {"max_delay": -0.005},
+            {"max_delay": float("nan")},
+            {"max_delay": float("inf")},
+        ],
+        ids=["batch-zero", "pending-zero", "delay-negative", "delay-nan", "delay-inf"],
+    )
+    def test_constructor_rejects_invalid_bounds(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=name):
+            RankingService(Engine(), **kwargs)
+
+
+class TestAdaptiveWindow:
+    def test_lone_request_does_not_wait_out_max_delay(self):
+        relation = make_relation(20, seed=18)
+
+        async def serve():
+            async with RankingService(Engine(), max_delay=1.0) as service:
+                start = time.monotonic()
+                reply = await service.submit(relation, PRFe(0.9))
+                return reply, time.monotonic() - start
+
+        reply, elapsed = run(serve())
+        assert elapsed < 0.2
+        assert reply.batch_size == 1
+        assert_bitwise_equal(reply.result, Engine().rank(relation, PRFe(0.9)))
+
+    def test_dense_arrivals_still_coalesce(self):
+        relations = [make_relation(20, seed=300 + i) for i in range(12)]
+
+        async def serve():
+            async with RankingService(
+                Engine(), max_batch=1024, max_delay=0.2
+            ) as service:
+                tasks = []
+                for relation in relations:
+                    tasks.append(asyncio.create_task(service.submit(relation, PRFe(0.9))))
+                    await asyncio.sleep(0.005)
+                replies = await asyncio.gather(*tasks)
+                return service.stats, replies
+
+        stats, replies = run(serve())
+        assert stats.requests == len(relations)
+        assert stats.batches < stats.requests
+        for relation, reply in zip(relations, replies):
+            assert_bitwise_equal(reply.result, Engine().rank(relation, PRFe(0.9)))
 
 
 class TestWireCodecs:
