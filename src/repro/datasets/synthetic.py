@@ -92,13 +92,16 @@ def generate_x_tuples(
     """Syn-XOR: ``n`` tuples grouped into mutually exclusive blocks.
 
     Each group of up to ``group_size`` tuples is an xor node whose edge
-    probabilities are drawn uniformly and scaled to sum to at most 1.
+    probabilities are drawn uniformly and scaled to sum to at most 1.  The
+    tree is the one :meth:`AndXorTree.from_x_tuples` builds from those
+    groups, assembled directly: leaves are created with probability 1
+    rather than copied from tuples carrying their edge probability.
     """
     if group_size < 1:
         raise ValueError(f"group_size must be >= 1, got {group_size}")
     generator = np.random.default_rng(rng)
     scores = _random_scores(n, generator)
-    groups: list[list[Tuple]] = []
+    groups: list[XorNode] = []
     index = 0
     while index < n:
         size = min(group_size, n - index)
@@ -106,13 +109,12 @@ def generate_x_tuples(
         total = raw.sum()
         scale = generator.uniform(0.5, 1.0)
         probabilities = raw / total * scale if total > 0 else raw
-        group = [
-            Tuple(f"t{index + j + 1}", scores[index + j], float(probabilities[j]))
-            for j in range(size)
+        leaves = [
+            LeafNode(Tuple(f"t{index + j + 1}", scores[index + j], 1.0)) for j in range(size)
         ]
-        groups.append(group)
+        groups.append(XorNode(zip(probabilities.tolist(), leaves)))
         index += size
-    return AndXorTree.from_x_tuples(groups, name=f"{name}-{n}")
+    return AndXorTree(AndNode(groups), name=f"{name}-{n}")
 
 
 def generate_random_tree(

@@ -127,12 +127,17 @@ class RankingBackend(ABC):
     model: str = ""
 
     def __init__(self, engine: "Engine") -> None:
-        self._engine = engine
+        # The engine's cache and batch ceiling, not the engine: a backend
+        # referring back to its engine would put every engine in a
+        # reference cycle, so a dropped engine and all its cached matrices
+        # would stay allocated until a full cyclic garbage collection.
+        self._cache = engine.cache
+        self._max_batch_elements = engine.max_batch_elements
 
     @property
     def cache(self):
         """The engine-wide :class:`~repro.engine.cache.RelationCache`."""
-        return self._engine.cache
+        return self._cache
 
     def entry(self, data, store: bool = True):
         """The cached intermediates of ``data`` (see :meth:`RelationCache.entry_for`)."""

@@ -95,7 +95,7 @@ class IndependentBackend(RankingBackend):
         # everything else runs the stacked kernel as a batch of one — so a
         # request served alone is bit-identical to one served coalesced
         # (the guarantee the ranking service builds on).
-        if n * limit > self._engine.max_batch_elements:
+        if n * limit > self._max_batch_elements:
             ordered, values, sort_keys = prf_values(relation, rf)
             return RankingResult.from_values(
                 ordered, values.tolist(), name=label, sort_keys=sort_keys
@@ -176,7 +176,7 @@ class IndependentBackend(RankingBackend):
         for n, indices in groups.items():
             if not isinstance(rf, (PRFe, LinearCombinationPRFe)):
                 limit = self._general_limit(n, rf)
-                if n * limit > self._engine.max_batch_elements:
+                if n * limit > self._max_batch_elements:
                     # Even a single stacked row would blow the kernel budget;
                     # stream these relations through the legacy evaluation.
                     for index in indices:
@@ -210,7 +210,7 @@ class IndependentBackend(RankingBackend):
             per_relation = max(n * len(rf), 1)
         else:
             per_relation = max(n * self._general_limit(n, rf), 1)
-        rows = max(1, self._engine.max_batch_elements // per_relation)
+        rows = max(1, self._max_batch_elements // per_relation)
         for start in range(0, len(indices), rows):
             yield indices[start : start + rows], entries[start : start + rows]
 
@@ -364,7 +364,7 @@ class IndependentBackend(RankingBackend):
         n = entry.n
         limits = {index: self._general_limit(n, rf) for index, rf in specs}
         widest = max(limits.values(), default=0)
-        if n * widest > self._engine.max_batch_elements:
+        if n * widest > self._max_batch_elements:
             # Too wide to materialize: stream each spec independently.
             for index, rf in specs:
                 _, values, _ = prf_values(relation, rf)
@@ -399,7 +399,7 @@ class IndependentBackend(RankingBackend):
         """
         n = len(relation)
         limit = self._validated_limit(n, max_rank)
-        if n * limit > self._engine.max_batch_elements:
+        if n * limit > self._max_batch_elements:
             return positional_probabilities(relation, max_rank=max_rank)
         entry = self.entry(relation)
         matrix = entry.positional_matrix(limit)

@@ -1,12 +1,18 @@
 """The Markov-network backend — junction-tree DP with calibrated-tree reuse.
 
 Section 9.4's algorithm ranks a bounded-treewidth Markov network by
-running, per tuple, a partial-sum dynamic program over the calibrated
-junction tree.  The backend caches on the network's fingerprint entry:
+running, per tuple, a partial-sum dynamic program over the junction
+tree calibrated on ``X_t = 1``.  Everything that does not depend on the
+tuple is done once per junction tree (see
+:class:`~repro.graphical.junction_tree.JunctionTree`): components, home
+cliques, potentials, the DP's post-order layout and the evidence-free
+messages, which each per-tuple calibration reuses for every edge whose
+source side holds no evidence.  The backend caches on the network's
+fingerprint entry:
 
 * the junction tree (built once per network content, not per object),
-* the evidence-free calibration behind every ``Pr(X_t = 1)`` lookup
-  (the legacy path recalibrated the whole tree once per tuple), and
+* the evidence-free calibration, whose memoized clique marginals serve
+  every ``Pr(X_t = 1)`` lookup and the top-k prefix-count DP, and
 * the positional-probability matrix.  The DP is limit-independent —
   ``max_rank`` only truncates the stored columns — so a cached wide
   matrix serves every narrower horizon by slicing, bit-identically.

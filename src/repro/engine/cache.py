@@ -16,8 +16,10 @@ entry type exists per correlation model:
   functions, and memoized PRFe value vectors of the incremental
   Algorithm 3 (keyed by ``alpha``).
 * :class:`CachedNetwork` (Markov networks): the sorted tuple order, the
-  junction tree, the evidence-free calibration (reused for every
-  ``Pr(X_t = 1)`` lookup) and the junction-tree-DP positional matrix.
+  junction tree, the evidence-free calibration (its messages are reused
+  by every per-tuple evidence calibration, its memoized clique marginals
+  by every ``Pr(X_t = 1)`` lookup) and the junction-tree-DP positional
+  matrix.
 
 The cache is a bounded LRU with an element budget: array payloads are
 evicted least-recently-used once the total number of cached float64
@@ -484,9 +486,14 @@ class CachedNetwork:
     """The cached intermediates of one Markov-network relation.
 
     Besides the positional matrix, the entry retains the junction tree
-    and its evidence-free calibration: every per-tuple rank distribution
-    needs ``Pr(X_t = 1)``, which the legacy path recalibrated from
-    scratch per tuple.
+    and its evidence-free calibration.  The tree holds everything that
+    does not depend on evidence (components, home cliques, potentials,
+    the dynamic program's layout) and the evidence-free messages, which
+    each per-tuple calibration on ``X_t = 1`` reuses for every edge
+    whose source side holds no evidence.  The calibration also memoizes
+    its normalized clique marginals behind every ``Pr(X_t = 1)`` lookup.
+    :meth:`elements` counts its beliefs, kept messages and memoized
+    marginals.
     """
 
     ordered: list[Tuple]
@@ -509,7 +516,7 @@ class CachedNetwork:
         if self.positional is not None:
             total_bytes += self.positional.nbytes
         if self.base_calibrated is not None:
-            total_bytes += sum(b.table.nbytes for b in self.base_calibrated.beliefs)
+            total_bytes += self.base_calibrated.nbytes
         return total_bytes // 8
 
     def shed(self) -> None:

@@ -118,8 +118,8 @@ class Engine:
     ) -> None:
         if max_batch_elements < 1:
             raise ValueError(f"max_batch_elements must be >= 1, got {max_batch_elements}")
-        self.cache = RelationCache(cache_relations, cache_elements)
-        self.max_batch_elements = int(max_batch_elements)
+        self._cache = RelationCache(cache_relations, cache_elements)
+        self._max_batch_elements = int(max_batch_elements)
         #: The pluggable per-correlation-model execution strategies, in
         #: planner probe order.
         self.backends: tuple[RankingBackend, ...] = (
@@ -131,6 +131,16 @@ class Engine:
         self._submit_lock = threading.Lock()
         self._approx_memo: "OrderedDict[tuple[Any, ...], ApproxDecision]" = OrderedDict()
         self._approx_lock = threading.Lock()
+
+    @property
+    def cache(self) -> RelationCache:
+        """The intermediate cache shared by every backend of this engine."""
+        return self._cache
+
+    @property
+    def max_batch_elements(self) -> int:
+        """Ceiling on any single stacked kernel allocation (see the class doc)."""
+        return self._max_batch_elements
 
     # ------------------------------------------------------------------
     # Planning

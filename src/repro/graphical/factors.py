@@ -85,6 +85,8 @@ class Factor:
         so it broadcasts against any other factor expanded to the same scope.
         """
         variables = tuple(variables)
+        if variables == self.variables:
+            return self.table
         missing = set(self.variables) - set(variables)
         if missing:
             raise ValueError(f"target scope is missing variables {sorted(map(str, missing))}")

@@ -16,7 +16,14 @@ present*:
    one gives the rank distribution ``Pr(r(t) = j)``.
 
 The per-tuple cost is polynomial for bounded treewidth, matching the
-paper's complexity analysis.
+paper's complexity analysis.  Only the tuple-dependent part runs per
+tuple: the junction tree (cached on the model by
+:func:`junction_tree_for`) holds its components, potentials, the DP's
+per-component post-order layout and the evidence-free messages, so
+conditioning on ``X_t = 1`` recomputes just the messages leaving the
+tuple's home clique and the beliefs of its component.  The score order
+and the outranking indicators are built once per network and advanced
+tuple by tuple.
 """
 
 from __future__ import annotations
@@ -42,7 +49,12 @@ __all__ = [
 
 
 def junction_tree_for(model: MarkovNetworkRelation) -> JunctionTree:
-    """Build (and cache on the model instance) the junction tree of a network."""
+    """Build (and cache on the model instance) the junction tree of a network.
+
+    The tree is shared by every engine and thread ranking the model: it
+    is complete once constructed, and its evidence-free calibration is
+    published as one finished object on first use.
+    """
     cached = getattr(model, "_cached_junction_tree", None)
     if cached is None:
         cached = build_junction_tree(model.variables(), model.factors)
@@ -55,38 +67,33 @@ def junction_tree_for(model: MarkovNetworkRelation) -> JunctionTree:
 # ---------------------------------------------------------------------------
 def _component_count_distribution(
     calibrated: CalibratedTree,
-    component: Sequence[int],
+    rooted: Sequence[Any],
     deltas: Mapping[Hashable, int],
 ) -> np.ndarray:
     """Distribution of ``sum_j delta_j X_j`` over one junction-forest component.
 
-    The returned vector ``d`` satisfies ``d[c] = Pr(count = c | evidence)``
-    restricted to the component's variables; it sums to 1 unless the
-    evidence has zero probability in this component, in which case the
-    zero vector is returned.
+    ``rooted`` is the component's post-order layout (cliques before their
+    parent, the root last).  The returned vector ``d`` satisfies ``d[c] =
+    Pr(count = c | evidence)`` restricted to the component's variables;
+    it sums to 1 unless the evidence has zero probability in this
+    component, in which case the zero vector is returned.
     """
-    tree = calibrated.tree
-    component_set = set(component)
-    root = component[0]
-    mass = calibrated.component_mass(component)
+    root = rooted[-1]
+    mass = calibrated.beliefs[root.index].total()
     if mass <= 0.0:
         return np.zeros(1, dtype=float)
-
-    def process(node: int, parent: int | None) -> tuple[list, np.ndarray]:
-        clique_vars = sorted(tree.cliques[node], key=str)
-        belief = calibrated.clique_marginal(node).reorder(clique_vars)
-        separator_vars = (
-            sorted(tree.cliques[node] & tree.cliques[parent], key=str)
-            if parent is not None
-            else []
-        )
+    # Partial-sum distributions of finished cliques, keyed by clique.
+    partial: dict[int, np.ndarray] = {}
+    for clique in rooted:
+        # Every belief of the tree carries its clique's variables in the
+        # sorted axis order of ``clique.variables``.
+        marginal = calibrated._marginal(clique.index)
+        clique_vars = clique.variables
         # arr[assignment of clique_vars, c] = Pr(clique assignment, partial sum = c)
-        arr = belief.table[..., None].astype(float).copy()
-        for child in tree.neighbors[node]:
-            if child == parent or child not in component_set:
-                continue
-            child_sep_vars, child_dist = process(child, node)
-            separator_marginal = calibrated.clique_marginal(node).marginalize(child_sep_vars)
+        arr = marginal.table[..., None].astype(float)
+        for child, child_sep_vars, shape in clique.children:
+            child_dist = partial.pop(child)
+            separator_marginal = marginal.marginalize(child_sep_vars)
             denominator = separator_marginal.table[..., None]
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(
@@ -97,43 +104,49 @@ def _component_count_distribution(
             # Expand the ratio (indexed by the child separator variables) to
             # the clique's axis layout; both axis lists are sorted by str so a
             # plain reshape aligns them.
-            shape = [2 if v in child_sep_vars else 1 for v in clique_vars]
-            shape.append(ratio.shape[-1])
-            ratio = ratio.reshape(shape)
+            ratio = ratio.reshape(shape + (ratio.shape[-1],))
             length_a = arr.shape[-1]
             length_b = ratio.shape[-1]
+            if length_a == 1 or length_b == 1:
+                # Every entry of the convolution is a single product (the
+                # first child of a clique, or a one-entry distribution).
+                arr = arr * ratio
+                continue
             combined = np.zeros(arr.shape[:-1] + (length_a + length_b - 1,), dtype=float)
             for offset in range(length_b):
                 combined[..., offset : offset + length_a] += arr * ratio[..., offset : offset + 1]
             arr = combined
         # Fold in the variables counted at this clique (those leaving the
         # parent separator) whose delta is 1.
-        local_counted = [
-            v for v in clique_vars if v not in separator_vars and deltas.get(v, 0) == 1
-        ]
-        if local_counted:
+        counted_axes = [axis for axis, v in clique.leaving if deltas.get(v, 0) == 1]
+        if counted_axes:
             axes = len(clique_vars)
             flat = arr.reshape(-1, arr.shape[-1])
             indices = np.arange(flat.shape[0])
             shift = np.zeros(flat.shape[0], dtype=int)
-            for variable in local_counted:
-                axis = clique_vars.index(variable)
+            for axis in counted_axes:
                 shift += (indices >> (axes - 1 - axis)) & 1
-            shifted = np.zeros((flat.shape[0], flat.shape[1] + len(local_counted)), dtype=float)
-            for amount in range(len(local_counted) + 1):
+            shifted = np.zeros((flat.shape[0], flat.shape[1] + len(counted_axes)), dtype=float)
+            for amount in range(len(counted_axes) + 1):
                 rows = shift == amount
                 if rows.any():
                     shifted[rows, amount : amount + flat.shape[1]] = flat[rows]
             arr = shifted.reshape(arr.shape[:-1] + (shifted.shape[-1],))
-        drop_axes = tuple(
-            i for i, v in enumerate(clique_vars) if v not in separator_vars
-        )
-        if drop_axes:
-            arr = arr.sum(axis=drop_axes)
-        return separator_vars, arr
+        if clique.drop_axes:
+            arr = arr.sum(axis=clique.drop_axes)
+        partial[clique.index] = arr
+    return np.asarray(partial[root.index], dtype=float).reshape(-1)
 
-    _, distribution = process(root, None)
-    return np.asarray(distribution, dtype=float).reshape(-1)
+
+def _count_distribution(
+    calibrated: CalibratedTree, deltas: Mapping[Hashable, int]
+) -> np.ndarray:
+    """The count distribution over the whole forest (component convolution)."""
+    distribution = np.ones(1, dtype=float)
+    for rooted in calibrated.tree._post_orders:
+        part = _component_count_distribution(calibrated, rooted, deltas)
+        distribution = _convolve(distribution, part)
+    return distribution
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -142,6 +155,24 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.size == 0:
         return a
     return np.convolve(a, b)
+
+
+def _rank_distribution(
+    tree: JunctionTree,
+    base: CalibratedTree,
+    tid: Any,
+    deltas: Mapping[Hashable, int],
+    limit: int,
+) -> np.ndarray:
+    """``Pr(r(t) = j)`` for ``j <= limit`` given the tuple's outranking deltas."""
+    present_probability = base.variable_marginal(tid)
+    if present_probability <= 0.0:
+        return np.zeros(limit + 1, dtype=float)
+    count_distribution = _count_distribution(tree.calibrate(evidence={tid: 1}), deltas)
+    distribution = np.zeros(limit + 1, dtype=float)
+    upto = min(limit, count_distribution.size)
+    distribution[1 : upto + 1] = present_probability * count_distribution[:upto]
+    return distribution
 
 
 def rank_distribution_markov(
@@ -156,7 +187,7 @@ def rank_distribution_markov(
     Returns an array of length ``limit + 1`` with index 0 unused.
     ``base`` optionally supplies the evidence-free calibration (shared by
     callers ranking many tuples of the same network, so the ``Pr(X_t =
-    1)`` lookup does not recalibrate the whole tree per tuple).
+    1)`` lookups share its memoized clique marginals).
     """
     tuples = model.sorted_tuples()
     if all(t.tid != tid for t in tuples):
@@ -170,20 +201,7 @@ def rank_distribution_markov(
             break
         outranks.add(t.tid)
     deltas = {variable: (1 if variable in outranks else 0) for variable in model.variables()}
-
-    present_probability = (base or tree.calibrate()).variable_marginal(tid)
-    if present_probability <= 0.0:
-        return np.zeros(limit + 1, dtype=float)
-    calibrated = tree.calibrate(evidence={tid: 1})
-    count_distribution = np.ones(1, dtype=float)
-    for component in tree.components():
-        part = _component_count_distribution(calibrated, component, deltas)
-        count_distribution = _convolve(count_distribution, part)
-
-    distribution = np.zeros(limit + 1, dtype=float)
-    upto = min(limit, count_distribution.size)
-    distribution[1 : upto + 1] = present_probability * count_distribution[:upto]
-    return distribution
+    return _rank_distribution(tree, base or tree.calibrate(), tid, deltas, limit)
 
 
 def prefix_count_distribution(
@@ -209,11 +227,7 @@ def prefix_count_distribution(
     deltas = {
         variable: (1 if variable in prefix else 0) for variable in model.variables()
     }
-    distribution = np.ones(1, dtype=float)
-    for component in tree.components():
-        part = _component_count_distribution(base, component, deltas)
-        distribution = _convolve(distribution, part)
-    return distribution
+    return _count_distribution(base, deltas)
 
 
 def positional_probabilities_markov(
@@ -225,18 +239,19 @@ def positional_probabilities_markov(
     """Positional probabilities of every tuple of a Markov-network relation.
 
     The evidence-free calibration behind every ``Pr(X_t = 1)`` lookup is
-    computed once and shared across the tuples (or supplied by the
-    engine's cache via ``base``).
+    shared across the tuples (or supplied by the engine's cache via
+    ``base``), and the score order and outranking deltas are built once
+    and advanced one tuple at a time.
     """
     ordered = model.sorted_tuples()
     limit = len(ordered) if max_rank is None else min(int(max_rank), len(ordered))
     matrix = np.zeros((len(ordered), limit), dtype=float)
     tree = tree or junction_tree_for(model)
     base = base or tree.calibrate()
+    deltas = dict.fromkeys(model.variables(), 0)
     for i, t in enumerate(ordered):
-        matrix[i, :] = rank_distribution_markov(
-            model, t.tid, max_rank=limit, tree=tree, base=base
-        )[1:]
+        matrix[i, :] = _rank_distribution(tree, base, t.tid, deltas, limit)[1:]
+        deltas[t.tid] = 1
     return ordered, matrix
 
 

@@ -186,6 +186,21 @@ class TestMarkovBackendEquivalence:
         warm = engine.rank_distribution(network, tid)
         assert np.allclose(warm, reference, atol=1e-12)
 
+    def test_entry_elements_count_the_kept_calibration(self):
+        rng = np.random.default_rng(239)
+        network = random_network(rng, n=6)
+        engine = Engine()
+        engine.rank(network, PRFe(0.9))
+        entry = engine.cache.entry_for(network)
+        base = entry.calibrated()
+        kept = list(base.beliefs) + list(base._messages.values())
+        kept += [marginal for marginal in base._marginals if marginal is not None]
+        assert len(base._messages) == 2 * len(base.tree.edges) > 0
+        assert any(marginal is not None for marginal in base._marginals)
+        with_base = entry.elements()
+        entry.base_calibrated = None
+        assert with_base - entry.elements() == sum(f.table.nbytes for f in kept) // 8
+
     def test_network_fingerprint_is_content_based(self):
         tuples = [Tuple(f"t{i}", float(10 - i), 1.0) for i in range(3)]
         factors = [Factor.bernoulli(t.tid, 0.5) for t in tuples]

@@ -16,14 +16,16 @@ the old code performed.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from repro import Engine, PRFe, Tuple
+from repro import Engine, PRFe, PRFOmega, Tuple
+from repro.core.weights import StepWeight
 from repro.engine.cache import RelationCache, dataset_fingerprint
-from repro.graphical import MarkovChainRelation
+from repro.graphical import MarkovChainRelation, MarkovNetworkRelation
 
 
 def make_network(seed: int = 0):
@@ -154,3 +156,66 @@ class TestCalibratedShedRace:
         assert before.tids() == after.tids()
         assert [i.value for i in before] == [i.value for i in after]
         assert dataset_fingerprint(network) == dataset_fingerprint(network)
+
+
+def make_forest(seed: int = 3):
+    """Two chains in one network (a two-component junction forest)."""
+    rng = np.random.default_rng(seed)
+    scores = rng.permutation(400)[:24]
+    parts = [
+        MarkovChainRelation.homogeneous(
+            [Tuple(f"{prefix}{i}", float(scores[offset + i]), 1.0) for i in range(size)],
+            0.6, 0.7, 0.8,
+        ).to_markov_network()
+        for prefix, offset, size in (("a", 0, 16), ("b", 16, 8))
+    ]
+    tuples = [t for part in parts for t in part.tuples]
+    factors = [f for part in parts for f in part.factors]
+    return MarkovNetworkRelation(tuples, factors, name=f"forest-{seed}")
+
+
+class TestSharedNetworkColdRank:
+    def test_engines_on_threads_cold_rank_one_shared_network(self):
+        """Four engines on four threads cold-rank one network object at once.
+
+        The junction tree and its evidence-free calibration hang off the
+        model (``junction_tree_for``), so the engines share them; every
+        thread must still get the serial answer bit for bit.
+        """
+        specs = [PRFe(0.9), PRFOmega(StepWeight(5))]
+
+        def items(result):
+            return [(item.tid, item.value) for item in result]
+
+        # Serial answer on a content-equal twin, so the shared object's
+        # tree is first built under contention.
+        serial = [items(Engine().rank(make_forest(), rf)) for rf in specs]
+
+        def worker(shared, barrier, slot: int) -> None:
+            try:
+                engine = Engine()
+                barrier.wait()
+                results[slot] = [items(engine.rank(shared, rf)) for rf in specs]
+            except BaseException as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                shared = make_forest()
+                barrier = threading.Barrier(4)
+                results: list = [None] * 4
+                errors: list[BaseException] = []
+                threads = [
+                    threading.Thread(target=worker, args=(shared, barrier, slot))
+                    for slot in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                assert errors == []
+                assert all(result == serial for result in results)
+        finally:
+            sys.setswitchinterval(interval)

@@ -46,6 +46,26 @@ class TestSyntheticGenerators:
             assert isinstance(node, XorNode)
             assert sum(p for p, _ in node.children) <= 1.0 + 1e-9
 
+    def test_x_tuples_tree_equals_from_x_tuples(self):
+        from repro.andxor.tree import AndXorTree
+        from repro.engine import tree_fingerprint
+
+        for n, group_size in ((1, 5), (23, 4), (200, 5)):
+            tree = generate_x_tuples(n, group_size=group_size, rng=n)
+            groups = [
+                [leaf.item.with_probability(p) for p, leaf in node.children]
+                for node in tree.root.children_nodes()
+            ]
+            reference = AndXorTree.from_x_tuples(groups, name=tree.name)
+            assert tree_fingerprint(tree) == tree_fingerprint(reference)
+            assert [
+                [(p, leaf.item) for p, leaf in node.children]
+                for node in tree.root.children_nodes()
+            ] == [
+                [(p, leaf.item) for p, leaf in node.children]
+                for node in reference.root.children_nodes()
+            ]
+
     def test_x_tuples_invalid_group_size(self):
         with pytest.raises(ValueError):
             generate_x_tuples(10, group_size=0)

@@ -8,6 +8,9 @@ member of the PRF family.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -206,6 +209,36 @@ class TestRankMany:
 
 
 class TestCache:
+    def test_dropped_engine_is_freed_without_the_cycle_collector(self):
+        """Backends do not refer back to their engine.
+
+        An engine in a reference cycle (and every matrix it caches) stays
+        allocated after its last reference goes, until a full cyclic
+        garbage collection happens to run.
+        """
+        from repro.datasets import syn_xor
+        from repro.graphical import MarkovNetworkRelation
+
+        rng = np.random.default_rng(7)
+        relation = make_relations(1, rng)[0]
+        datasets = [
+            relation,
+            relation.to_columnar(),
+            syn_xor(12, rng),
+            MarkovNetworkRelation.from_independent(relation),
+        ]
+        engine = Engine()
+        for data in datasets:
+            engine.rank(data, PRFe(0.9))
+            engine.rank_top_k(data, PRFe(0.9), 2)
+        freed = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_fingerprint_is_content_based(self):
         pairs = [(3.0, 0.5), (2.0, 0.6)]
         a = ProbabilisticRelation.from_pairs(pairs)

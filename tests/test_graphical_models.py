@@ -1,5 +1,7 @@
 """Tests for Markov networks, junction trees and ranking over them (Section 9)."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.possible_worlds import rank_distribution_by_enumeration
 from repro.core.weights import StepWeight
 from repro.graphical import (
     Factor,
+    JunctionTree,
     MarkovChainRelation,
     MarkovNetworkRelation,
     build_junction_tree,
@@ -118,6 +121,11 @@ class TestJunctionTree:
         with pytest.raises(KeyError):
             tree.calibrate(evidence={"bogus": 1})
 
+    def test_cyclic_edges_rejected(self):
+        cliques = [frozenset("ab"), frozenset("bc"), frozenset("ac")]
+        with pytest.raises(ValueError):
+            JunctionTree(cliques, [(0, 1), (1, 2), (2, 0)], [], ["a", "b", "c"])
+
     def test_disconnected_components(self):
         tuples = [Tuple("a", 2.0, 1.0), Tuple("b", 1.0, 1.0)]
         factors = [Factor(("a",), [0.4, 0.6]), Factor(("b",), [0.3, 0.7])]
@@ -127,6 +135,70 @@ class TestJunctionTree:
         calibrated = tree.calibrate()
         assert calibrated.variable_marginal("a") == pytest.approx(0.6)
         assert calibrated.variable_marginal("b") == pytest.approx(0.7)
+
+
+def _forest_network(rng: np.random.Generator) -> MarkovNetworkRelation:
+    """Four components: a chain, a 4-cycle, and tuples of probability 0 and 1."""
+    names = ["a", "b", "c", "d", "e", "f", "g", "h", "i"]
+    tuples = [Tuple(v, float(score), 1.0) for v, score in zip(names, rng.permutation(9))]
+    pairs = [("a", "b"), ("b", "c"), ("d", "e"), ("e", "f"), ("f", "g"), ("g", "d")]
+    factors = [Factor(pair, rng.uniform(0.1, 1.0, size=(2, 2))) for pair in pairs]
+    factors += [Factor(("h",), [1.0, 0.0]), Factor(("i",), [0.0, 1.0])]
+    return MarkovNetworkRelation(tuples, factors)
+
+
+class TestEvidenceCalibration:
+    """Evidence calibrations reuse the evidence-free messages of their tree."""
+
+    def test_reused_messages_match_a_from_scratch_calibration(self, rng):
+        network = _forest_network(rng)
+        tree = build_junction_tree(network.variables(), network.factors)
+        assert len(tree.components()) == 4
+        base = tree.calibrate()
+        for variable in network.variables():
+            for value in (0, 1):
+                evidence = {variable: value}
+                reused = tree.calibrate(evidence=evidence)
+                # The indicator factor lands in the same home clique, after
+                # the clique's own factors, so a tree built for the
+                # conditioned factors calibrates the same products from
+                # scratch.
+                fresh_tree = build_junction_tree(
+                    network.variables(), network.condition_factors(evidence)
+                )
+                assert fresh_tree.cliques == tree.cliques
+                fresh = fresh_tree.calibrate()
+                for ours, theirs in zip(reused.beliefs, fresh.beliefs):
+                    assert ours.variables == theirs.variables
+                    assert np.array_equal(ours.table, theirs.table), evidence
+                assert reused.evidence_probability() == fresh.evidence_probability()
+                home = next(i for i, c in enumerate(tree.cliques) if variable in c)
+                for component in tree.components():
+                    if home not in component:
+                        for index in component:
+                            assert reused.beliefs[index] is base.beliefs[index]
+
+    def test_zero_probability_evidence(self, rng):
+        network = _forest_network(rng)
+        tree = build_junction_tree(network.variables(), network.factors)
+        calibrated = tree.calibrate(evidence={"h": 1})
+        assert calibrated.evidence_probability() == 0.0
+        assert calibrated.variable_marginal("a") == pytest.approx(
+            tree.calibrate().variable_marginal("a")
+        )
+        assert rank_distribution_markov(network, "h").sum() == 0.0
+
+    def test_shared_state_is_not_handed_out(self, rng):
+        network = _forest_network(rng)
+        tree = build_junction_tree(network.variables(), network.factors)
+        calibrated = tree.calibrate()
+        marginal = calibrated.clique_marginal(0)
+        marginal.table[...] = 0.0
+        assert calibrated.clique_marginal(0).total() == pytest.approx(1.0)
+        with pytest.raises(ValueError):
+            calibrated.beliefs[0].table[...] = 0.0
+        tree.components()[0].append(99)
+        assert 99 not in tree.components()[0]
 
 
 class TestMarkovChainRanking:
@@ -170,6 +242,17 @@ class TestMarkovChainRanking:
 
 
 class TestMarkovNetworkRanking:
+    def test_chain_longer_than_the_recursion_limit(self):
+        """Calibration and the DP walk the tree iteratively, not recursively."""
+        n = sys.getrecursionlimit() + 200
+        tuples = [Tuple(f"t{i}", float(i), 1.0) for i in range(n)]
+        chain = MarkovChainRelation.homogeneous(tuples, 0.6, 0.7, 0.8)
+        network = chain.to_markov_network()
+        tid = f"t{n - 4}"
+        assert np.allclose(
+            rank_distribution_markov(network, tid), chain.rank_distribution(tid), atol=1e-9
+        )
+
     def test_chain_network_matches_chain_algorithm(self, rng):
         chain = _random_chain(rng, 6)
         network = chain.to_markov_network()
