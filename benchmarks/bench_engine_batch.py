@@ -48,6 +48,8 @@ COLUMNAR_N = 20_000 if SMOKE else 1_000_000
 APPROX_SIZES = (5_000, 20_000) if SMOKE else (100_000, 300_000, 1_000_000)
 APPROX_HORIZON = 400 if SMOKE else 2_000
 APPROX_BUDGET = 1e-3
+EXHAUSTED_N = 100_000
+EXHAUSTED_HORIZON = 100
 
 
 def _cache_stats(engine: Engine) -> dict:
@@ -404,3 +406,45 @@ def test_approx_knob_beats_exact_prfomega(benchmark, save_result):
             f"approx knob not 10x over exact PRFomega at n={APPROX_SIZES[-1]}: "
             f"{speedup:.2f}x"
         )
+
+
+def test_exact_prfomega_exhausted_support(benchmark, save_result):
+    """Exact PRFomega(Step 100) at n = 10^5: the prefix recurrence's early exit.
+
+    On Syn-IND the truncated prefix distribution underflows to exactly
+    zero after ~1.2k of the 10^5 score-sorted tuples, and the recurrence
+    stops there instead of writing rows of zeros.  The engine's ranking
+    must equal the legacy streaming evaluation: the same order, values
+    within 1e-12 (one matrix-vector product against one dot per tuple).
+    The last non-zero row of the positional matrix is recorded.
+    """
+    relation = generate_independent(EXHAUSTED_N, rng=103, columnar=True)
+    rf = PRFOmega(StepWeight(EXHAUSTED_HORIZON))
+
+    # The first cold ranks in a process fault in the 80 MB output and run
+    # up to 3x slower; five calls settle it before the timed one.
+    result, engine_time = _best_of(lambda: Engine().rank(relation, rf), repeats=5)
+    run_once(benchmark, lambda: Engine().rank(relation, rf))
+
+    legacy = rank_independent(relation, rf)
+    assert result.tids() == legacy.tids()
+    legacy_values = legacy.values()
+    worst = max(abs(value - legacy_values[tid]) for tid, value in result.values().items())
+    assert worst <= 1e-12, f"engine and legacy values differ by {worst:.2e}"
+
+    _, matrix = Engine().positional_matrix(relation, max_rank=EXHAUSTED_HORIZON)
+    last_row = int(np.flatnonzero(matrix.any(axis=1))[-1])
+    benchmark.extra_info["n"] = EXHAUSTED_N
+    benchmark.extra_info["last_nonzero_row"] = last_row
+    save_result(
+        "engine_exhausted_support",
+        "\n".join(
+            [
+                f"relation            Syn-IND n={EXHAUSTED_N}, PRFomega(h={EXHAUSTED_HORIZON}), "
+                "fresh engine per call",
+                f"exact rank (s)      {engine_time:.4f}",
+                f"last non-zero row   {last_row}",
+                f"max |engine-legacy| {worst:.2e}",
+            ]
+        ),
+    )

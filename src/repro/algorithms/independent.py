@@ -81,24 +81,17 @@ def prefix_polynomial_matrix(probabilities: np.ndarray, limit: int) -> np.ndarra
     ``prefix_polynomial_matrix(p, limit) * p[:, None]``; the general PRF
     evaluation is a weighted row sum.  This is the shared hot intermediate
     cached and batched by :mod:`repro.engine`.
+
+    It is the batch-of-one case of
+    :func:`repro.engine.kernels.batched_prefix_matrices`, so it stops at
+    the first row whose truncated prefix is exactly zero and costs
+    ``O(n* limit)``; the rows after it are zero.
     """
+    # Imported here: repro.engine imports this module through its backends.
+    from ..engine.kernels import batched_prefix_matrices
+
     probabilities = np.asarray(probabilities, dtype=float)
-    n = probabilities.size
-    matrix = np.zeros((n, limit), dtype=float)
-    if n == 0 or limit == 0:
-        return matrix
-    prefix = np.zeros(limit, dtype=float)
-    prefix[0] = 1.0
-    shifted = np.empty_like(prefix)
-    for i, p in enumerate(probabilities):
-        matrix[i] = prefix
-        # prefix <- prefix * (1 - p + p x), truncated.  When p == 0 the
-        # polynomial is unchanged, so the update can be skipped.
-        if p != 0.0:
-            shifted[0] = 0.0
-            shifted[1:] = prefix[:-1]
-            prefix = (1.0 - p) * prefix + p * shifted
-    return matrix
+    return batched_prefix_matrices(probabilities[None, :], limit)[0]
 
 
 def positional_probabilities(

@@ -51,6 +51,15 @@ from .base import RankingBackend, build_result
 __all__ = ["IndependentBackend"]
 
 
+def _cacheable_row(stack: np.ndarray, row: int) -> np.ndarray:
+    """Row ``row`` of a computed prefix stack, to be kept in a cache entry.
+
+    A view of a one-row stack pins exactly its own bytes; a view of a
+    larger stack would pin all of it, so that row is copied.
+    """
+    return stack[row] if len(stack) == 1 else stack[row].copy()
+
+
 class IndependentBackend(RankingBackend):
     """Batched vectorized ranking over tuple-independent relations."""
 
@@ -257,10 +266,10 @@ class IndependentBackend(RankingBackend):
 
         Rows whose entries already carry a wide-enough matrix are sliced
         in; only the missing rows run the batched recurrence.  With
-        ``cache_rows`` the computed rows are copied back into their
-        entries (the batched and single-relation recurrences are bitwise
-        identical, so cache contents stay canonical); transient entries of
-        an oversized batch skip the copies.
+        ``cache_rows`` the computed rows are stored back into their
+        entries (the batched and single-relation recurrences are one
+        loop, so cache contents stay canonical); transient entries of an
+        oversized batch skip the stores.
         """
         snapshots = [entry.prefix for entry in entries]
         missing = [
@@ -274,8 +283,7 @@ class IndependentBackend(RankingBackend):
             prefix = batched_prefix_matrices(P, limit)
             if cache_rows:
                 for row, entry in enumerate(entries):
-                    # Copy: a view would pin the whole (B, n, limit) stack alive.
-                    entry.store_prefix(prefix[row].copy())
+                    entry.store_prefix(_cacheable_row(prefix, row))
             return prefix
         stack = np.empty((len(entries), P.shape[1], limit), dtype=float)
         for row, prefix in enumerate(snapshots):
@@ -285,7 +293,7 @@ class IndependentBackend(RankingBackend):
         for position, row in enumerate(missing):
             stack[row] = computed[position]
             if cache_rows:
-                entries[row].store_prefix(computed[position].copy())
+                entries[row].store_prefix(_cacheable_row(computed, position))
         return stack
 
     # ------------------------------------------------------------------

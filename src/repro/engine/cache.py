@@ -293,7 +293,7 @@ class _PrefixEntry:
         under the entry lock and the result is a slice of a locally
         captured array, so concurrent growers and a budget-driven
         ``prefix = None`` wipe can never yield a too-narrow or ``None``
-        matrix to a caller.
+        matrix to a caller.  The cached matrix is read-only.
         """
         from ..algorithms.independent import prefix_polynomial_matrix
 
@@ -301,21 +301,23 @@ class _PrefixEntry:
             prefix = self.prefix
             if prefix is None or prefix.shape[1] < limit:
                 prefix = prefix_polynomial_matrix(self.probabilities, limit)
+                prefix.flags.writeable = False
                 self.prefix = prefix
         return prefix[:, :limit]
 
     def store_prefix(self, matrix: np.ndarray) -> None:
-        """Adopt an externally computed prefix matrix if wider than the cached one."""
+        """Adopt an externally computed prefix matrix if wider than the cached one.
+
+        An adopted matrix is marked read-only.
+        """
         with self.lock:
             if self.prefix is None or self.prefix.shape[1] < matrix.shape[1]:
+                matrix.flags.writeable = False
                 self.prefix = matrix
 
     def positional_matrix(self, limit: int) -> np.ndarray:
         """``Pr(r(t_i) = j)`` for ``j = 1 .. limit`` from the cached prefix."""
-        prefix = self.prefix_matrix(limit)
-        if self.n == 0 or limit == 0:
-            return prefix
-        return prefix * self.probabilities[:, None]
+        return self.prefix_matrix(limit) * self.probabilities[:, None]
 
 
 @dataclass

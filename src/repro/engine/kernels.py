@@ -31,6 +31,9 @@ __all__ = [
 
 _LOG_EPS = 1e-300
 
+#: Rows between the prefix recurrence's checks for an all-zero prefix.
+_ZERO_CHECK_ROWS = 32
+
 
 def batched_prefix_matrices(P: np.ndarray, limit: int) -> np.ndarray:
     """Stacked prefix polynomial matrices, shape ``(B, n, limit)``.
@@ -39,6 +42,13 @@ def batched_prefix_matrices(P: np.ndarray, limit: int) -> np.ndarray:
     relation ``b`` — the probability that exactly ``m`` of its ``i``
     higher-score tuples are present.  One pass over the shared tuple axis
     updates all ``B`` recurrences simultaneously.
+
+    The pass stops at the first row ``n*`` (checked every
+    ``_ZERO_CHECK_ROWS`` rows) where the truncated prefix of every relation
+    is exactly zero, so it costs ``O(B n* limit)``.  This is exact: a zero
+    prefix stays ``(1 - p) 0 + p 0 = +0.0`` for ``p`` in ``[0, 1]``, which
+    is what the preallocated output already holds.  Truncation does not
+    change this: coefficient ``m`` depends only on coefficients ``<= m``.
     """
     P = np.asarray(P, dtype=float)
     B, n = P.shape
@@ -49,6 +59,8 @@ def batched_prefix_matrices(P: np.ndarray, limit: int) -> np.ndarray:
     prefix[:, 0] = 1.0
     shifted = np.zeros_like(prefix)
     for i in range(n):
+        if i % _ZERO_CHECK_ROWS == 0 and not prefix.any():
+            break
         out[:, i, :] = prefix
         p = P[:, i][:, None]
         shifted[:, 0] = 0.0

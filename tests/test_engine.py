@@ -331,6 +331,31 @@ class TestCache:
         _, narrow = engine.positional_matrix(relation, max_rank=2)
         assert np.array_equal(wide[:, :2], narrow)
 
+    @pytest.mark.parametrize("path", ["rank", "rank_batch", "rank_many", "positional_matrix"])
+    def test_cached_prefix_is_read_only(self, path):
+        rng = np.random.default_rng(37)
+        relations = [
+            ColumnarRelation(rng.uniform(0, 100, 200), rng.uniform(0.5, 1.0, 200), name=name)
+            for name in ("read-only", "other")
+        ]
+        relation = relations[0]
+        rf = PRFOmega(StepWeight(20))
+        cold = [(item.tid, item.value) for item in Engine().rank(relation, rf)]
+        engine = Engine()
+        fill = {
+            "rank": lambda: engine.rank(relation, rf),
+            "rank_batch": lambda: engine.rank_batch(relations, rf),
+            "rank_many": lambda: engine.rank_many(relation, [rf]),
+            "positional_matrix": lambda: engine.positional_matrix(relation, max_rank=20),
+        }
+        fill[path]()
+        entry = engine.cache.entry_for(relation)
+        with pytest.raises(ValueError, match="read-only"):
+            entry.prefix[0, 0] = 2.0
+        for _ in range(2):
+            assert [(item.tid, item.value) for item in engine.rank(relation, rf)] == cold
+        assert engine.rank(relation, rf).tids() == rank_independent(relation, rf).tids()
+
 
 class TestDefaultEngineRouting:
     def test_core_rank_routes_through_engine(self):
