@@ -23,11 +23,13 @@ import tracemalloc
 import numpy as np
 
 from repro import Engine, PRFOmega, PRFe, ProbabilisticRelation, Tuple
-from repro.algorithms.independent import rank_independent
+from repro.algorithms.independent import prefix_polynomial_matrix, rank_independent
 from repro.andxor.ranking import rank_tree
 from repro.core.columnar import ColumnarRelation
+from repro.core.result import ColumnarRankingResult
 from repro.core.weights import StepWeight, TabulatedWeight
 from repro.datasets import generate_independent, syn_xor
+from repro.engine.kernels import first_zero_row
 from repro.graphical import MarkovChainRelation
 from repro.graphical.ranking import rank_markov_network
 
@@ -50,6 +52,8 @@ APPROX_HORIZON = 400 if SMOKE else 2_000
 APPROX_BUDGET = 1e-3
 EXHAUSTED_N = 100_000
 EXHAUSTED_HORIZON = 100
+GAUSSIAN_N = 100_000
+GAUSSIAN_SUPPORT = 2_000
 
 
 def _cache_stats(engine: Engine) -> dict:
@@ -69,6 +73,13 @@ def _relations(count: int, n: int, seed: int) -> list[ProbabilisticRelation]:
         )
         for index in range(count)
     ]
+
+
+def _same_ranking(result, legacy) -> bool:
+    """Equal order and equal values, bit for bit (columnar against tuple result)."""
+    return result.tids() == legacy.tids() and np.array_equal(
+        result.values_array(), np.array([item.value for item in legacy])
+    )
 
 
 def _best_of(function, repeats: int = 3) -> tuple[object, float]:
@@ -414,9 +425,9 @@ def test_exact_prfomega_exhausted_support(benchmark, save_result):
     On Syn-IND the truncated prefix distribution underflows to exactly
     zero after ~1.2k of the 10^5 score-sorted tuples, and the recurrence
     stops there instead of writing rows of zeros.  The engine's ranking
-    must equal the legacy streaming evaluation: the same order, values
-    within 1e-12 (one matrix-vector product against one dot per tuple).
-    The last non-zero row of the positional matrix is recorded.
+    must equal the legacy ``rank_independent`` one bit for bit (both run
+    the same kernel).  The last non-zero row of the positional matrix is
+    recorded.
     """
     relation = generate_independent(EXHAUSTED_N, rng=103, columnar=True)
     rf = PRFOmega(StepWeight(EXHAUSTED_HORIZON))
@@ -426,11 +437,7 @@ def test_exact_prfomega_exhausted_support(benchmark, save_result):
     result, engine_time = _best_of(lambda: Engine().rank(relation, rf), repeats=5)
     run_once(benchmark, lambda: Engine().rank(relation, rf))
 
-    legacy = rank_independent(relation, rf)
-    assert result.tids() == legacy.tids()
-    legacy_values = legacy.values()
-    worst = max(abs(value - legacy_values[tid]) for tid, value in result.values().items())
-    assert worst <= 1e-12, f"engine and legacy values differ by {worst:.2e}"
+    assert _same_ranking(result, rank_independent(relation, rf))
 
     _, matrix = Engine().positional_matrix(relation, max_rank=EXHAUSTED_HORIZON)
     last_row = int(np.flatnonzero(matrix.any(axis=1))[-1])
@@ -444,7 +451,50 @@ def test_exact_prfomega_exhausted_support(benchmark, save_result):
                 "fresh engine per call",
                 f"exact rank (s)      {engine_time:.4f}",
                 f"last non-zero row   {last_row}",
-                f"max |engine-legacy| {worst:.2e}",
+            ]
+        ),
+    )
+
+
+def test_exact_gaussian_prfomega(benchmark, save_result):
+    """Exact Gaussian PRFomega (support 2000) at n = 10^5: the one exact kernel.
+
+    A cold ``Engine.rank`` of Syn-IND with ``n * h = 2 * 10^8`` prefix
+    elements, too many to materialize: the kernel streams the recurrence
+    in row blocks and stops at the first all-zero row ``n*``, which is
+    recorded.  The columnar input gets a columnar result, and its ranking
+    equals the legacy ``rank_independent`` one bit for bit.
+    """
+    relation = generate_independent(GAUSSIAN_N, rng=101, columnar=True)
+    # The approx benchmark's weight: a Gaussian with std support / 5.
+    ranks = np.arange(1, GAUSSIAN_SUPPORT + 1, dtype=float)
+    rf = PRFOmega(TabulatedWeight(np.exp(-0.5 * (ranks / (GAUSSIAN_SUPPORT / 5.0)) ** 2)))
+
+    result, engine_time = _best_of(lambda: Engine().rank(relation, rf), repeats=3)
+    run_once(benchmark, lambda: Engine().rank(relation, rf))
+
+    assert isinstance(result, ColumnarRankingResult)
+    assert _same_ranking(result, rank_independent(relation, rf))
+    # n*: where the kernel's recurrence stops, found on ever longer heads
+    # of the score-sorted relation so the full (n, h) matrix is never built.
+    probabilities = relation.sorted_probabilities()
+    head = 1024
+    while True:
+        prefix = prefix_polynomial_matrix(probabilities[:head], GAUSSIAN_SUPPORT)
+        first_zero = first_zero_row(prefix[None])
+        if first_zero < head or head >= probabilities.size:
+            break
+        head *= 2
+    benchmark.extra_info["n"] = GAUSSIAN_N
+    benchmark.extra_info["first_zero_row"] = first_zero
+    save_result(
+        "engine_exact_gaussian",
+        "\n".join(
+            [
+                f"relation            Syn-IND n={GAUSSIAN_N}, Gaussian PRFomega "
+                f"support={GAUSSIAN_SUPPORT}, fresh engine per call",
+                f"exact rank (s)      {engine_time:.4f}",
+                f"first zero row n*   {first_zero}",
             ]
         ),
     )

@@ -6,8 +6,9 @@ This module implements the algorithms of Section 4.1 and 4.3 of the paper:
   feature matrix ``Pr(r(t_i) = j)`` via the prefix generating function
   ``F^i(x)`` of Equation (2) / Algorithm 1;
 * :func:`prf_values` — PRF values for every tuple, automatically choosing
-  between the O(n^2) general path, the O(n h) PRFomega(h) path, the O(n)
-  PRFe path and the O(n L) linear-combination-of-PRFe path;
+  between the O(n* h) general path (the engine's one exact kernel, which
+  stops at the first all-zero prefix row ``n*``; ``h = n`` when the weight
+  is unbounded), the O(n) PRFe path and the O(n L) linear-combination path;
 * :func:`rank_independent` — the top-level ranking entry point for
   independent relations, returning a :class:`~repro.core.result.RankingResult`.
 
@@ -35,6 +36,7 @@ from ..core.tuples import ProbabilisticRelation, Tuple
 __all__ = [
     "positional_probabilities",
     "prefix_polynomial_matrix",
+    "general_weights",
     "rank_distributions",
     "prf_values",
     "prfe_values",
@@ -196,37 +198,16 @@ def prfe_values(
     return ordered, values
 
 
-def _prf_values_general(
-    relation: ProbabilisticRelation,
-    rf: RankingFunction,
-    horizon: int | None,
-) -> tuple[list[Tuple], np.ndarray]:
-    """Shared implementation of the O(n^2) / O(n h) PRF evaluation."""
-    ordered = relation.sorted_by_score()
-    n = len(ordered)
-    limit = n if horizon is None else min(int(horizon), n)
-    weight_array = rf.weight_array(limit)  # [0, w(1), ..., w(limit)]
-    use_complex = not rf.is_real()
-    dtype = complex if use_complex else float
-    weights = weight_array[1:].astype(dtype)  # w(1) .. w(limit)
-    values = np.zeros(n, dtype=dtype)
-    if n == 0 or limit == 0:
-        return ordered, values
+def general_weights(rf: RankingFunction, n: int) -> np.ndarray:
+    """The tabulated ``[w(1), ..., w(limit)]`` of a general-weight spec.
 
-    probabilities = np.array([t.probability for t in ordered], dtype=float)
-    prefix = np.zeros(limit, dtype=float)
-    prefix[0] = 1.0
-    for i, t in enumerate(ordered):
-        p = probabilities[i]
-        upto = min(i, limit - 1) + 1
-        # Upsilon(t_i) = g(t_i) * p_i * sum_m w(m + 1) * prefix[m]
-        values[i] = rf.factor(t) * p * np.dot(weights[:upto], prefix[:upto])
-        if p != 0.0:
-            shifted = np.empty_like(prefix)
-            shifted[0] = 0.0
-            shifted[1:] = prefix[:-1]
-            prefix = (1.0 - p) * prefix + p * shifted
-    return ordered, values
+    ``limit`` is the weight's horizon clamped to ``n`` (``n`` when the
+    weight has none); the array is complex exactly when the weight is.
+    """
+    horizon = rf.weight.horizon
+    limit = n if horizon is None else min(int(horizon), n)
+    dtype = float if rf.is_real() else complex
+    return rf.weight_array(limit)[1:].astype(dtype)
 
 
 def prf_values(
@@ -235,8 +216,9 @@ def prf_values(
     """PRF values of every tuple under the given ranking function.
 
     Returns ``(sorted_tuples, values, sort_keys)``; ``sort_keys`` is ``None``
-    unless a numerically safer ordering key than ``|value|`` is available
-    (the real-``alpha`` PRFe path returns log-magnitudes).
+    unless an ordering key other than Python's ``abs(value)`` is used (the
+    real-``alpha`` PRFe path returns log-magnitudes, the general-weight
+    path numpy's magnitudes).
     """
     if isinstance(rf, PRFe):
         alpha = rf.alpha
@@ -263,9 +245,20 @@ def prf_values(
         total = term_values @ rf.coefficients
         return ordered, total, None
 
-    horizon = rf.weight.horizon
-    ordered, values = _prf_values_general(relation, rf, horizon)
-    return ordered, values, None
+    # Imported here: repro.engine imports this module through its backends.
+    from ..engine.kernels import batched_general_values
+
+    ordered = relation.sorted_by_score()
+    probabilities = np.array([t.probability for t in ordered], dtype=float)
+    factors = None
+    if rf.tuple_factor is not None:
+        factors = np.array([[rf.factor(t) for t in ordered]], dtype=float)
+    values = batched_general_values(
+        probabilities[None, :], general_weights(rf, len(ordered)), factors
+    )[0]
+    # The engine orders by numpy's complex magnitude, which can differ from
+    # Python's abs() in the last place; ordering by it keeps ties in step.
+    return ordered, values, np.abs(values)
 
 
 def rank_independent(

@@ -199,9 +199,10 @@ class ColumnarRelation:
     def sorted_by_score(self) -> list[Tuple]:
         """Materialized :class:`Tuple` list in the canonical order.
 
-        Compatibility path for consumers that need tuple objects (the
-        general-weight streaming evaluator, exports); the hot kernels
-        use :meth:`sorted_probabilities` / :meth:`sorted_scores` instead.
+        Compatibility path for consumers that need tuple objects
+        (``tuple_factor`` specs, the legacy ``rank_independent``, exports);
+        the hot kernels use :meth:`sorted_probabilities` /
+        :meth:`sorted_scores` instead.
         """
         if self._sorted_cache is None:
             scores = self._scores

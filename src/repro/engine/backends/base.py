@@ -127,12 +127,11 @@ class RankingBackend(ABC):
     model: str = ""
 
     def __init__(self, engine: "Engine") -> None:
-        # The engine's cache and batch ceiling, not the engine: a backend
-        # referring back to its engine would put every engine in a
-        # reference cycle, so a dropped engine and all its cached matrices
-        # would stay allocated until a full cyclic garbage collection.
+        # The engine's cache, not the engine: a backend referring back to
+        # its engine would put every engine in a reference cycle, so a
+        # dropped engine and all its cached matrices would stay allocated
+        # until a full cyclic garbage collection.
         self._cache = engine.cache
-        self._max_batch_elements = engine.max_batch_elements
 
     @property
     def cache(self):

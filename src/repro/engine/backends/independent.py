@@ -5,9 +5,11 @@ Evaluation strategy per ranking-function spec (Table 3 of the paper):
 * PRFe(alpha) — the O(n) closed form after sorting; real alphas run in
   log space so huge relations neither under- nor overflow.
 * LinearCombinationPRFe — one stacked cumulative-product pass per term.
-* General weights — the prefix generating-function matrix (Algorithm 1's
-  hot intermediate), LRU-cached per relation and shared across batches,
-  sweeps and the positional-probability queries of the baselines.
+* General weights — one exact kernel over the prefix generating
+  function (Algorithm 1's hot intermediate).  Matrices of at most
+  ``_MATERIALIZE_ELEMENTS`` elements are LRU-cached per relation and
+  shared across batches, sweeps and positional-probability queries;
+  wider ones stream, with the same values.
 
 Batches of equal-size relations are stacked and pushed through the
 kernels of :mod:`repro.engine.kernels` in single vectorized passes; all
@@ -21,11 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ...algorithms.independent import (
-    positional_probabilities,
-    prf_values,
-    uses_log_space,
-)
+from ...algorithms.independent import _resolve_limit, general_weights, uses_log_space
 from ...core.columnar import ColumnarRelation
 from ...core.prf import LinearCombinationPRFe, PRFe, RankingFunction
 from ...core.result import RankingResult
@@ -49,6 +47,18 @@ from ..topk import (
 from .base import RankingBackend, build_result
 
 __all__ = ["IndependentBackend"]
+
+#: Largest prefix matrix, in elements per relation (``n * limit``), that a
+#: general-weight evaluation materializes and keeps in the cache; wider
+#: ones stream.  Also the element bound of one stacked kernel call.
+_MATERIALIZE_ELEMENTS = 16_000_000
+
+
+def _factors(rf: RankingFunction, entries) -> np.ndarray | None:
+    """The ``(B, n)`` tuple factors ``g(t)`` of a stack, or ``None`` without any."""
+    if rf.tuple_factor is None:
+        return None
+    return np.array([[rf.factor(t) for t in entry.ordered] for entry in entries], dtype=float)
 
 
 def _cacheable_row(stack: np.ndarray, row: int) -> np.ndarray:
@@ -89,28 +99,19 @@ class IndependentBackend(RankingBackend):
 
         PRFe and LinearCombinationPRFe specs run their O(n) closed forms
         against the cached entry (so repeated rankings reuse the sorted
-        order and probability array); general-weight specs reuse the
-        cached prefix matrix.  Both reproduce the legacy rankings (the
-        real-alpha PRFe path bit for bit).
+        order and probability array); general-weight specs run the stacked
+        kernel as a batch of one, reusing the cached prefix matrix.  Both
+        reproduce the legacy rankings (the real-alpha PRFe and the
+        general-weight paths bit for bit), and a request served alone is
+        bit-identical to one served coalesced (the guarantee the ranking
+        service builds on).
         """
         label = name or relation.name
         if isinstance(rf, (PRFe, LinearCombinationPRFe)):
             # The single-spec case of rank_many: same kernels, shared entry.
             return self.rank_many(relation, [rf], name=label)[0]
-        n = len(relation)
-        limit = self._general_limit(n, rf)
-        # Same materialization condition as rank_batch: matrices beyond the
-        # element budget stream through the legacy evaluation (both paths),
-        # everything else runs the stacked kernel as a batch of one — so a
-        # request served alone is bit-identical to one served coalesced
-        # (the guarantee the ranking service builds on).
-        if n * limit > self._max_batch_elements:
-            ordered, values, sort_keys = prf_values(relation, rf)
-            return RankingResult.from_values(
-                ordered, values.tolist(), name=label, sort_keys=sort_keys
-            )
         entry = self.entry(relation)
-        values, _ = self._evaluate_stack([entry], n, rf)
+        values, _ = self._evaluate_stack([entry], len(relation), rf)
         self.cache.enforce_budget()
         return build_result(entry, values[0], label)
 
@@ -183,14 +184,6 @@ class IndependentBackend(RankingBackend):
         for index, relation in enumerate(relations):
             groups.setdefault(len(relation), []).append(index)
         for n, indices in groups.items():
-            if not isinstance(rf, (PRFe, LinearCombinationPRFe)):
-                limit = self._general_limit(n, rf)
-                if n * limit > self._max_batch_elements:
-                    # Even a single stacked row would blow the kernel budget;
-                    # stream these relations through the legacy evaluation.
-                    for index in indices:
-                        results[index] = self.rank(relations[index], rf)
-                    continue
             entries = [self.entry(relations[i], store=store) for i in indices]
             for chunk_indices, chunk_entries in self._chunk(indices, entries, n, rf):
                 values, sort_keys = self._evaluate_stack(
@@ -218,8 +211,8 @@ class IndependentBackend(RankingBackend):
         elif isinstance(rf, LinearCombinationPRFe):
             per_relation = max(n * len(rf), 1)
         else:
-            per_relation = max(n * self._general_limit(n, rf), 1)
-        rows = max(1, self._max_batch_elements // per_relation)
+            per_relation = max(n * self._clamped_limit(n, rf.weight.horizon), 1)
+        rows = max(1, _MATERIALIZE_ELEMENTS // per_relation)
         for start in range(0, len(indices), rows):
             yield indices[start : start + rows], entries[start : start + rows]
 
@@ -244,16 +237,11 @@ class IndependentBackend(RankingBackend):
             return batched_prfe_values(P, alpha), None
         if isinstance(rf, LinearCombinationPRFe):
             return batched_lincomb_values(P, rf.coefficients, rf.alphas), None
-        limit = self._general_limit(n, rf)
-        prefix = self._stacked_prefixes(entries, P, limit, cache_rows=cache_rows)
-        dtype = float if rf.is_real() else complex
-        weights = rf.weight_array(limit)[1:].astype(dtype)
-        factors = None
-        if rf.tuple_factor is not None:
-            factors = np.array(
-                [[rf.factor(t) for t in entry.ordered] for entry in entries], dtype=float
-            )
-        return batched_general_values(P, prefix, weights, factors), None
+        weights = general_weights(rf, n)
+        prefix = None
+        if n * weights.size <= _MATERIALIZE_ELEMENTS:
+            prefix = self._stacked_prefixes(entries, P, weights.size, cache_rows=cache_rows)
+        return batched_general_values(P, weights, _factors(rf, entries), prefix), None
 
     def _stacked_prefixes(
         self,
@@ -262,39 +250,22 @@ class IndependentBackend(RankingBackend):
         limit: int,
         cache_rows: bool = True,
     ) -> np.ndarray:
-        """The ``(B, n, limit)`` prefix stack, reusing cached per-relation matrices.
+        """The ``(B, n, limit)`` prefix stack, from the cache when every entry has it.
 
-        Rows whose entries already carry a wide-enough matrix are sliced
-        in; only the missing rows run the batched recurrence.  With
-        ``cache_rows`` the computed rows are stored back into their
-        entries (the batched and single-relation recurrences are one
-        loop, so cache contents stay canonical); transient entries of an
-        oversized batch skip the stores.
+        Otherwise the whole stack runs the batched recurrence: its cost is
+        a loop over the ``n`` rows whatever ``B`` is, and the rows it
+        recomputes equal the cached ones bit for bit.  With ``cache_rows``
+        the computed rows are stored back into their entries; transient
+        entries of an oversized batch skip the stores.
         """
         snapshots = [entry.prefix for entry in entries]
-        missing = [
-            row
-            for row, prefix in enumerate(snapshots)
-            if prefix is None or prefix.shape[1] < limit
-        ]
-        if not missing:
+        if all(prefix is not None and prefix.shape[1] >= limit for prefix in snapshots):
             return np.stack([prefix[:, :limit] for prefix in snapshots])
-        if len(missing) == len(entries):
-            prefix = batched_prefix_matrices(P, limit)
-            if cache_rows:
-                for row, entry in enumerate(entries):
-                    entry.store_prefix(_cacheable_row(prefix, row))
-            return prefix
-        stack = np.empty((len(entries), P.shape[1], limit), dtype=float)
-        for row, prefix in enumerate(snapshots):
-            if prefix is not None and prefix.shape[1] >= limit:
-                stack[row] = prefix[:, :limit]
-        computed = batched_prefix_matrices(P[missing], limit)
-        for position, row in enumerate(missing):
-            stack[row] = computed[position]
-            if cache_rows:
-                entries[row].store_prefix(_cacheable_row(computed, position))
-        return stack
+        prefix = batched_prefix_matrices(P, limit)
+        if cache_rows:
+            for row, entry in enumerate(entries):
+                entry.store_prefix(_cacheable_row(prefix, row))
+        return prefix
 
     # ------------------------------------------------------------------
     # One relation, many ranking functions
@@ -345,9 +316,7 @@ class IndependentBackend(RankingBackend):
                     values = batched_lincomb_values(P, rf.coefficients, rf.alphas)[0]
                 results[index] = build_result(entry, values, label)
         if general:
-            for index, values in self._general_many(
-                entry, relation, [(i, rfs[i]) for i in general]
-            ):
+            for index, values in self._general_many(entry, [(i, rfs[i]) for i in general]):
                 results[index] = build_result(entry, values, label)
         self.cache.enforce_budget()
         return [result for result in results if result is not None]
@@ -367,32 +336,19 @@ class IndependentBackend(RankingBackend):
         for row, (index, _) in enumerate(specs):
             yield index, values[row], log_values[row]
 
-    def _general_many(self, entry: CachedRelation, relation: ProbabilisticRelation, specs):
+    def _general_many(self, entry: CachedRelation, specs):
         """General-weight specs sharing one cached prefix matrix."""
-        n = entry.n
-        limits = {index: self._general_limit(n, rf) for index, rf in specs}
-        widest = max(limits.values(), default=0)
-        if n * widest > self._max_batch_elements:
-            # Too wide to materialize: stream each spec independently.
-            for index, rf in specs:
-                _, values, _ = prf_values(relation, rf)
-                yield index, values
-            return
-        prefix = entry.prefix_matrix(widest) if widest else np.zeros((n, 0))
-        p = entry.probabilities
+        weights = {index: general_weights(rf, entry.n) for index, rf in specs}
+        widest = max(w.size for w in weights.values())
+        prefix = None
+        if entry.n * widest <= _MATERIALIZE_ELEMENTS:
+            prefix = entry.prefix_matrix(widest)[None]
+        P = entry.probabilities[None, :]
         for index, rf in specs:
-            limit = limits[index]
-            dtype = float if rf.is_real() else complex
-            if n == 0 or limit == 0:
-                yield index, np.zeros(n, dtype=dtype)
-                continue
-            weights = rf.weight_array(limit)[1:].astype(dtype)
-            values = (prefix[:, :limit] @ weights) * p
-            if rf.tuple_factor is not None:
-                values = values * np.array(
-                    [rf.factor(t) for t in entry.ordered], dtype=float
-                )
-            yield index, values
+            values = batched_general_values(
+                P, weights[index], _factors(rf, [entry]), prefix
+            )
+            yield index, values[0]
 
     # ------------------------------------------------------------------
     # Derived queries
@@ -402,13 +358,10 @@ class IndependentBackend(RankingBackend):
     ) -> tuple[list[Tuple], np.ndarray]:
         """Cached positional probabilities (same contract as the algorithm).
 
-        Matrices wider than ``max_batch_elements`` bypass the cache and
-        fall through to the streaming implementation.
+        A matrix over the cache's element budget is returned and then shed
+        from its entry by the budget enforcement.
         """
-        n = len(relation)
-        limit = self._validated_limit(n, max_rank)
-        if n * limit > self._max_batch_elements:
-            return positional_probabilities(relation, max_rank=max_rank)
+        limit = _resolve_limit(len(relation), max_rank)
         entry = self.entry(relation)
         matrix = entry.positional_matrix(limit)
         self.cache.enforce_budget()
@@ -419,18 +372,3 @@ class IndependentBackend(RankingBackend):
         if isinstance(relation, ColumnarRelation):
             return dict(zip(relation.tid_values(), relation.probabilities().tolist()))
         return {t.tid: t.probability for t in relation}
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _validated_limit(n: int, max_rank: int | None) -> int:
-        from ...algorithms.independent import _resolve_limit
-
-        return _resolve_limit(n, max_rank)
-
-    @staticmethod
-    def _general_limit(n: int, rf: RankingFunction) -> int:
-        """Weight horizon clamped to the relation size (matrix width)."""
-        horizon = rf.weight.horizon
-        return n if horizon is None else min(int(horizon), n)

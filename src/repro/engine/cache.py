@@ -363,7 +363,7 @@ class CachedColumnar(_PrefixEntry):
     the probability vector is a gather of the relation's own column by
     its cached sort permutation, the sort columns (scores + tid strings)
     are served from arrays, and tuple objects materialize only if a
-    legacy consumer (general-weight streaming, ``tuple_factor``) asks
+    consumer (a ``tuple_factor`` spec, a positional-matrix query) asks
     for :attr:`ordered`.
     """
 

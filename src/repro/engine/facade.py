@@ -102,11 +102,6 @@ class Engine:
         Maximum number of datasets whose intermediates are retained.
     cache_elements:
         Element budget of the intermediate cache (float64 entries).
-    max_batch_elements:
-        Ceiling on the size of any single stacked ``(B, n, limit)``
-        kernel allocation; batches are chunked to respect it and
-        over-budget single relations fall back to the streaming
-        single-relation algorithms.
     """
 
     def __init__(
@@ -114,12 +109,8 @@ class Engine:
         *,
         cache_relations: int = 64,
         cache_elements: int = 32_000_000,
-        max_batch_elements: int = 16_000_000,
     ) -> None:
-        if max_batch_elements < 1:
-            raise ValueError(f"max_batch_elements must be >= 1, got {max_batch_elements}")
         self._cache = RelationCache(cache_relations, cache_elements)
-        self._max_batch_elements = int(max_batch_elements)
         #: The pluggable per-correlation-model execution strategies, in
         #: planner probe order.
         self.backends: tuple[RankingBackend, ...] = (
@@ -136,11 +127,6 @@ class Engine:
     def cache(self) -> RelationCache:
         """The intermediate cache shared by every backend of this engine."""
         return self._cache
-
-    @property
-    def max_batch_elements(self) -> int:
-        """Ceiling on any single stacked kernel allocation (see the class doc)."""
-        return self._max_batch_elements
 
     # ------------------------------------------------------------------
     # Planning

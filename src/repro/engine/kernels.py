@@ -9,10 +9,10 @@ sequentially along the last axis exactly as their 1-D counterparts do —
 so a batch of size one reproduces the legacy values bit for bit and
 larger batches only amortize Python and dispatch overhead across rows.
 
-The general-weight kernel additionally produces the stacked prefix
-generating-function matrices ``(B, n, limit)``; callers are expected to
-chunk the batch so that this allocation respects their memory budget
-(see ``Engine.max_batch_elements``).
+General weights have one exact kernel, :func:`batched_general_values`,
+costing ``O(B n* limit)`` whether it streams the prefix recurrence or
+reduces a materialized or cached :func:`batched_prefix_matrices` stack;
+all of those calls return the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import numpy as np
 __all__ = [
     "batched_prefix_matrices",
     "batched_general_values",
+    "first_zero_row",
+    "row_sums",
     "batched_prfe_log_values",
     "batched_prfe_values",
     "batched_lincomb_values",
@@ -33,6 +35,45 @@ _LOG_EPS = 1e-300
 
 #: Rows between the prefix recurrence's checks for an all-zero prefix.
 _ZERO_CHECK_ROWS = 32
+
+#: Prefix elements one streamed block of :func:`batched_general_values` holds.
+_STREAM_ELEMENTS = 1 << 18
+
+#: Widest column slice one ``np.einsum`` call of :func:`row_sums` reduces.
+#: Past 8192 columns (numpy's default buffer size) einsum can sum a row of
+#: a multi-row operand differently from the same row alone, so a wider
+#: call would make a row's sum depend on its block.
+_REDUCE_COLUMNS = 4096
+
+
+def _prefix_blocks(P: np.ndarray, block: np.ndarray):
+    """Run Equation (2)'s recurrence through the ``(B, rows, limit)`` ``block``.
+
+    Each ``(start, rows)`` yielded means ``block[:, :rows]`` holds the
+    truncated prefixes ``F^start, ...`` of every relation.  The pass ends
+    at the first checked row ``n*`` where every prefix is exactly zero.
+    """
+    B, n = P.shape
+    size = block.shape[1]
+    prefix = np.zeros((B, block.shape[2]), dtype=float)
+    prefix[:, 0] = 1.0
+    shifted = np.zeros_like(prefix)
+    keep = 1.0 - P
+    for start in range(0, n, size):
+        rows = min(size, n - start)
+        for r in range(rows):
+            i = start + r
+            if i % _ZERO_CHECK_ROWS == 0 and not prefix.any():
+                if r:
+                    yield start, r
+                return
+            block[:, r] = prefix
+            # (1 - p) F_m + p F_(m-1), in place: the same two products and
+            # one sum per coefficient as the textbook update.
+            np.multiply(prefix[:, :-1], P[:, i, None], out=shifted[:, 1:])
+            prefix *= keep[:, i, None]
+            prefix += shifted
+        yield start, rows
 
 
 def batched_prefix_matrices(P: np.ndarray, limit: int) -> np.ndarray:
@@ -53,38 +94,77 @@ def batched_prefix_matrices(P: np.ndarray, limit: int) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     B, n = P.shape
     out = np.zeros((B, n, limit), dtype=float)
-    if n == 0 or limit == 0 or B == 0:
-        return out
-    prefix = np.zeros((B, limit), dtype=float)
-    prefix[:, 0] = 1.0
-    shifted = np.zeros_like(prefix)
-    for i in range(n):
-        if i % _ZERO_CHECK_ROWS == 0 and not prefix.any():
-            break
-        out[:, i, :] = prefix
-        p = P[:, i][:, None]
-        shifted[:, 0] = 0.0
-        shifted[:, 1:] = prefix[:, :-1]
-        prefix = (1.0 - p) * prefix + p * shifted
+    if n and limit and B:
+        for _ in _prefix_blocks(P, out):
+            pass
     return out
+
+
+def first_zero_row(prefix: np.ndarray) -> int:
+    """The row ``n*`` where :func:`batched_prefix_matrices` stopped on ``prefix``.
+
+    The first checked row at which every relation of the ``(B, n, limit)``
+    stack is all zero, or ``n``.  On a column slice of a wider matrix it
+    is the row the narrower recurrence stops at.
+    """
+    checked = prefix[:, ::_ZERO_CHECK_ROWS].any(axis=(0, 2))
+    zero = np.flatnonzero(~checked)
+    return int(zero[0]) * _ZERO_CHECK_ROWS if zero.size else prefix.shape[1]
+
+
+def row_sums(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_m block[b, i, m] * weights[m]`` for every row, shape ``(B, rows)``.
+
+    A row's sum depends only on that row and ``weights``, not on its block,
+    stack, column slice or storage offset: ``np.einsum`` sums every row of
+    up to ``_REDUCE_COLUMNS`` columns alike, and wider rows add those slices
+    left to right.  A BLAS matrix-vector product's blocking and threading
+    split rows differently for different shapes.
+    """
+    weights = np.asarray(weights)
+    sums = np.einsum("bij,j->bi", block[..., :_REDUCE_COLUMNS], weights[:_REDUCE_COLUMNS])
+    for start in range(_REDUCE_COLUMNS, weights.size, _REDUCE_COLUMNS):
+        stop = start + _REDUCE_COLUMNS
+        sums += np.einsum("bij,j->bi", block[..., start:stop], weights[start:stop])
+    return sums
 
 
 def batched_general_values(
     P: np.ndarray,
-    prefix: np.ndarray,
     weights: np.ndarray,
     factors: np.ndarray | None = None,
+    prefix: np.ndarray | None = None,
 ) -> np.ndarray:
-    """General PRF values ``Upsilon(t) = g(t) p_t sum_m w(m+1) F^t_m`` per row.
+    """General PRF values ``Upsilon(t) = p_t sum_m w(m+1) F^t_m``, then ``* g(t)``.
 
-    ``prefix`` is the ``(B, n, limit)`` output of
-    :func:`batched_prefix_matrices`, ``weights`` the tabulated
-    ``[w(1), ..., w(limit)]`` (real or complex) and ``factors`` the
-    optional ``(B, n)`` per-tuple multipliers ``g(t)``.
+    ``weights`` is the tabulated ``[w(1), ..., w(limit)]`` (real or
+    complex), ``factors`` the optional ``(B, n)`` multipliers ``g(t)`` and
+    ``prefix`` an optional ``(B, n, >= limit)`` materialized or cached
+    :func:`batched_prefix_matrices` stack; without it the recurrence
+    streams in row blocks.  Only rows before :func:`first_zero_row` are
+    reduced; each later row is zero and gets the sum of a zero row.  As
+    :func:`row_sums` does not depend on a row's block or stack, streamed,
+    materialized, cached and batched calls agree bit for bit.
     """
+    P = np.asarray(P, dtype=float)
     weights = np.asarray(weights)
-    values = prefix @ weights  # (B, n) — one fused weighted row-sum
-    values = values * P
+    B, n = P.shape
+    limit = weights.size
+    sums = np.empty((B, n), dtype=np.result_type(weights, float))
+    stop = 0
+    if prefix is not None:
+        prefix = prefix[:, :, :limit]
+        stop = first_zero_row(prefix)
+        sums[:, :stop] = row_sums(prefix[:, :stop], weights)
+    elif n and limit and B:
+        size = max(1, _STREAM_ELEMENTS // (B * limit * _ZERO_CHECK_ROWS)) * _ZERO_CHECK_ROWS
+        block = np.empty((B, min(size, n), limit), dtype=float)
+        for start, rows in _prefix_blocks(P, block):
+            stop = start + rows
+            sums[:, start:stop] = row_sums(block[:, :rows], weights)
+    if stop < n:
+        sums[:, stop:] = row_sums(np.zeros((1, 1, limit)), weights)
+    values = sums * P
     if factors is not None:
         values = values * factors
     return values

@@ -300,7 +300,7 @@ class TestCache:
         assert cache.stats.evictions > 0
 
     def test_element_budget_evicts_matrices(self):
-        engine = Engine(cache_elements=500, max_batch_elements=100_000)
+        engine = Engine(cache_elements=500)
         rng = np.random.default_rng(29)
         relations = [
             ProbabilisticRelation.from_arrays(
