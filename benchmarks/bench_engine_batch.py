@@ -54,6 +54,11 @@ EXHAUSTED_N = 100_000
 EXHAUSTED_HORIZON = 100
 GAUSSIAN_N = 100_000
 GAUSSIAN_SUPPORT = 2_000
+SMALL_RELATIONS = 16
+SMALL_N = 200
+#: Sweeps in the timed region: enough to keep it above ~20 ms, well over
+#: the regression gate's 5 ms floor, on a 2-core x86 box.
+SMALL_ROUNDS = 32
 
 
 def _cache_stats(engine: Engine) -> dict:
@@ -284,15 +289,14 @@ def _traced_peak_mib(function) -> float:
 
 
 def test_columnar_rank_batch_beats_tuple_path(benchmark, save_result):
-    """Million-tuple data plane: columnar ``rank_batch`` versus the tuple path.
+    """Million-tuple data plane: columnar ``rank_batch`` versus the tuple form.
 
     The same scores/probabilities ranked through a tuple-backed
-    ``ProbabilisticRelation`` (per-tuple Python objects, array
-    extraction on every request) and through a ``ColumnarRelation``
-    (contiguous float64 columns consumed zero-copy by the independent
-    backend).  Rankings must agree tuple for tuple; the columnar plane
-    must be at least 5x faster at n = 10^6 and the memory column must
-    show the per-request footprint collapsing to O(arrays).
+    ``ProbabilisticRelation`` and through a ``ColumnarRelation``.  Both
+    forms take one column path (a tuple relation builds its columns once
+    and caches them), so the tuple form is no longer a slower baseline:
+    the artifact records both timings, their ratio and both peaks, and
+    the two rankings must be bit-identical, tids and values.
     """
     rng = np.random.default_rng(97)
     scores = rng.uniform(0.0, 10_000.0, size=COLUMNAR_N)
@@ -302,7 +306,7 @@ def test_columnar_rank_batch_beats_tuple_path(benchmark, save_result):
     rf = PRFe(0.95)
 
     # Fresh engine per call: this measures the cold per-request path
-    # (array extraction + kernel), not cache warmth.
+    # (entry build + kernel), not cache warmth.
     tuple_results, tuple_time = _best_of(
         lambda: Engine().rank_batch([tuple_form], rf), repeats=3 if SMOKE else 2
     )
@@ -312,6 +316,7 @@ def test_columnar_rank_batch_beats_tuple_path(benchmark, save_result):
     run_once(benchmark, lambda: Engine().rank_batch([columnar_form], rf))
 
     assert columnar_results[0].tids() == tuple_results[0].tids()
+    assert np.array_equal(columnar_results[0].values_array(), tuple_results[0].values_array())
 
     tuple_mib = _traced_peak_mib(lambda: Engine().rank_batch([tuple_form], rf))
     columnar_mib = _traced_peak_mib(lambda: Engine().rank_batch([columnar_form], rf))
@@ -334,12 +339,6 @@ def test_columnar_rank_batch_beats_tuple_path(benchmark, save_result):
             ]
         ),
     )
-    if not SMOKE:
-        assert speedup > 5.0, f"columnar plane not 5x over the tuple path: {speedup:.2f}x"
-        assert columnar_mib < tuple_mib, (
-            f"columnar path should allocate less than the tuple path: "
-            f"{columnar_mib:.1f} MiB vs {tuple_mib:.1f} MiB"
-        )
 
 
 def test_approx_knob_beats_exact_prfomega(benchmark, save_result):
@@ -495,6 +494,46 @@ def test_exact_gaussian_prfomega(benchmark, save_result):
                 f"support={GAUSSIAN_SUPPORT}, fresh engine per call",
                 f"exact rank (s)      {engine_time:.4f}",
                 f"first zero row n*   {first_zero}",
+            ]
+        ),
+    )
+
+
+def test_small_relation_rank_and_topk(benchmark, save_result):
+    """Warm ``rank`` plus ``rank_top_k`` over small tuple relations.
+
+    The serving hot case: sixteen n = 200 tuple relations, like the ones
+    ``serve_hot`` registers, each ranked warm under PRFomega(Step 20) and
+    as a PRFe(0.9) top-10.  The sweep repeats ``SMALL_ROUNDS`` times per
+    timed call, at the same size in smoke and full runs.  Every top-k
+    answer must be the head of the full ranking.
+    """
+    relations = _relations(SMALL_RELATIONS, SMALL_N, seed=211)
+    rank_rf, topk_rf = PRFOmega(StepWeight(20)), PRFe(0.9)
+    engine = Engine()
+
+    def sweep():
+        for _ in range(SMALL_ROUNDS):
+            for relation in relations:
+                engine.rank(relation, rank_rf)
+                engine.rank_top_k(relation, topk_rf, 10)
+
+    sweep()  # every entry, prefix matrix and top-k memo is cached after this
+    _, elapsed = _best_of(sweep)
+    run_once(benchmark, sweep)
+
+    for relation in relations:
+        top, _ = engine.rank_top_k(relation, topk_rf, 10)
+        assert top.tids() == engine.rank(relation, topk_rf).top_k(10)
+    per_pair = elapsed / (SMALL_ROUNDS * SMALL_RELATIONS)
+    benchmark.extra_info["cache_stats"] = _cache_stats(engine)
+    save_result(
+        "engine_small_relations",
+        "\n".join(
+            [
+                f"relations           {SMALL_RELATIONS} x n={SMALL_N} tuple relations, warm",
+                f"sweep x {SMALL_ROUNDS} (s)      {elapsed:.4f}",
+                f"rank + top-k (us)   {per_pair * 1e6:.1f}",
             ]
         ),
     )

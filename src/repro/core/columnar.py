@@ -1,14 +1,14 @@
-"""Columnar storage for tuple-independent relations.
+"""Columnar storage for tuple-independent relations, and the column protocol.
 
-:class:`ColumnarRelation` is the array-native twin of
-:class:`~repro.core.tuples.ProbabilisticRelation`: scores and existence
-probabilities live in two contiguous float64 arrays instead of a list of
-:class:`~repro.core.tuples.Tuple` objects.  The engine's independent
-backend, the fingerprint cache and the top-k streaming kernels consume
-these arrays zero-copy — no per-call ``Tuple``-list materialization, no
-object->array conversion on the hot path.  At n = 10^6 and beyond this
-is the difference between microseconds and seconds per ``rank_batch``
-call.
+Every PRF algorithm over tuple-independent data (Section 3.1 of the
+paper) starts from the score-ordered probability vector.
+:class:`RelationColumns` implements that view once for both storage
+forms; the engine's independent backend, cache and result builders
+speak only this protocol.  :class:`ColumnarRelation` stores the two
+columns as contiguous float64 arrays;
+:class:`~repro.core.tuples.ProbabilisticRelation` keeps its caller's
+``Tuple`` list as the identifier and attribute side table and builds its
+columns from it once, on first use.
 
 Design notes
 ------------
@@ -19,31 +19,33 @@ Design notes
   ten-million-tuple relation costs 16 MB (two float64 columns), not
   hundreds of MB of Python strings.
 * **Sorted order as a permutation.**  The canonical score-descending
-  order (ties broken by insertion position, matching
-  :meth:`ProbabilisticRelation.sorted_by_score`) is cached as an integer
-  permutation array from one stable argsort, and the gathered
-  score/probability columns are cached alongside it.
-* **Tuple compatibility.**  Iteration, indexing and
-  :meth:`sorted_by_score` still yield real :class:`Tuple` objects, built
-  lazily, so legacy code paths (general-weight streaming, correlated
-  models, CSV export) keep working unchanged — they just pay the
-  materialization cost that the hot paths avoid.
+  order (ties broken by insertion position) comes from one stable
+  argsort of the negated scores and is cached, read-only, with the
+  gathered score/probability columns.
+* **Tuples on demand.**  :meth:`~RelationColumns.tuples_at` returns the
+  caller's own ``Tuple`` objects for a tuple-list relation and builds
+  them for a columnar one, only when a consumer asks (a ``tuple_factor``
+  spec, iterating a result, a positional-matrix query, CSV export).
 
-Arrays handed to the constructor are adopted without copying whenever
-they already are C-contiguous float64 (this is what makes memory-mapped
-relations from :func:`repro.datasets.io.load_columnar` zero-copy); they
-must not be mutated afterwards.
+Arrays handed to the :class:`ColumnarRelation` constructor are adopted
+without copying whenever they already are C-contiguous float64 (this is
+what makes memory-mapped relations from
+:func:`repro.datasets.io.load_columnar` zero-copy); they must not be
+mutated afterwards.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .tuples import _PROB_TOLERANCE, ProbabilisticRelation, Tuple
+if TYPE_CHECKING:  # pragma: no cover - tuples.py imports this module
+    from .tuples import ProbabilisticRelation, Tuple
 
-__all__ = ["ColumnarRelation"]
+__all__ = ["RelationColumns", "ColumnarRelation"]
+
+_PROB_TOLERANCE = 1e-9
 
 
 def _normalize_tid(value: Any) -> Any:
@@ -51,7 +53,136 @@ def _normalize_tid(value: Any) -> Any:
     return value.item() if isinstance(value, np.generic) else value
 
 
-class ColumnarRelation:
+def _positions(indices: Iterable[int]) -> list[int]:
+    """Original positions as a list of Python ints."""
+    return indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` marked read-only (derived columns are shared, never written)."""
+    array.flags.writeable = False
+    return array
+
+
+class RelationColumns:
+    """The column protocol of a tuple-independent relation, in either form.
+
+    Subclasses implement :meth:`scores`, :meth:`probabilities`,
+    :meth:`tuples_at` and ``__len__``, and set ``_tids`` to the
+    identifier list (``None`` for the virtual ``"t1", "t2", ...``
+    sequence).  Everything derived from those — the score-descending
+    order and columns, the materialized ``Tuple`` order, identifier
+    strings — is built here on first use and cached on the object.
+    """
+
+    _tids: list[Any] | None
+    # Derived caches, built on first use.
+    _order: np.ndarray | None = None
+    _sorted_scores: np.ndarray | None = None
+    _sorted_probabilities: np.ndarray | None = None
+    _sorted_cache: "list[Tuple] | None" = None
+
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def scores(self) -> np.ndarray:
+        """Scores in insertion order."""
+        raise NotImplementedError
+
+    def probabilities(self) -> np.ndarray:
+        """Existence probabilities in insertion order."""
+        raise NotImplementedError
+
+    def tuples_at(self, indices: Iterable[int]) -> "list[Tuple]":
+        """The :class:`Tuple` objects at the given original positions."""
+        raise NotImplementedError
+
+    def attribute_maps(self) -> "list[Mapping[str, Any]] | None":
+        """Per-tuple attribute payloads in insertion order; ``None`` when none has any."""
+        return None
+
+    def expected_world_size(self) -> float:
+        """Expected number of present tuples, ``C = sum_i Pr(t_i)``."""
+        return float(self.probabilities().sum())
+
+    # ------------------------------------------------------------------
+    # Canonical score-descending order
+    # ------------------------------------------------------------------
+    def order(self) -> np.ndarray:
+        """Permutation of original positions in score-descending order.
+
+        A stable argsort of the negated scores: ties are broken by
+        insertion position, the earlier tuple ranking higher.
+        """
+        if self._order is None:
+            self._order = _frozen(np.argsort(-self.scores(), kind="stable"))
+        return self._order
+
+    def sorted_scores(self) -> np.ndarray:
+        """Scores gathered into score-descending order (cached)."""
+        if self._sorted_scores is None:
+            self._sorted_scores = _frozen(self.scores()[self.order()])
+        return self._sorted_scores
+
+    def sorted_probabilities(self) -> np.ndarray:
+        """Probabilities gathered into score-descending order (cached)."""
+        if self._sorted_probabilities is None:
+            self._sorted_probabilities = _frozen(self.probabilities()[self.order()])
+        return self._sorted_probabilities
+
+    def sorted_by_score(self) -> "list[Tuple]":
+        """The tuples in the canonical score-descending order (cached).
+
+        The ranking kernels use :meth:`sorted_probabilities` and
+        :meth:`sorted_scores` instead.
+        """
+        if self._sorted_cache is None:
+            self._sorted_cache = self.tuples_at(self.order())
+        return list(self._sorted_cache)
+
+    def score_rank_index(self) -> dict[Any, int]:
+        """Map tuple id -> 0-based position in the score-descending order."""
+        return {tid: position for position, tid in enumerate(self.tid_values(self.order()))}
+
+    # ------------------------------------------------------------------
+    # Identifiers
+    # ------------------------------------------------------------------
+    @property
+    def has_implicit_tids(self) -> bool:
+        """Whether identifiers are the virtual ``"t1", "t2", ...`` sequence."""
+        return self._tids is None
+
+    def tid_of(self, index: int) -> Any:
+        """The identifier of the tuple at original position ``index``."""
+        if self._tids is None:
+            return f"t{index + 1}"
+        return self._tids[index]
+
+    def tid_values(self, indices: Iterable[int] | None = None) -> list[Any]:
+        """Identifiers for the given original positions (all, when omitted)."""
+        if indices is None:
+            if self._tids is not None:
+                return list(self._tids)
+            return [f"t{i}" for i in range(1, len(self) + 1)]
+        positions = _positions(indices)
+        if self._tids is None:
+            return [f"t{i + 1}" for i in positions]
+        tids = self._tids
+        return [tids[i] for i in positions]
+
+    def tid_strings_for(self, indices: Iterable[int]) -> np.ndarray:
+        """``str(tid)`` for the given original positions, as a unicode array.
+
+        This feeds ``np.lexsort`` tie-breaking; for implicit identifiers
+        it is fully vectorized.
+        """
+        if self._tids is None:
+            numbers = np.asarray(indices, dtype=np.int64) + 1
+            return np.char.add("t", numbers.astype("U20"))
+        return np.array([str(tid) for tid in self.tid_values(indices)], dtype=str)
+
+
+class ColumnarRelation(RelationColumns):
     """A tuple-independent relation stored as contiguous columns.
 
     Parameters
@@ -73,6 +204,8 @@ class ColumnarRelation:
         already-validated on-disk data, where touching every page of a
         memory-mapped column would defeat the mapping.
     """
+
+    _tid_index: dict[Any, int] | None = None
 
     def __init__(
         self,
@@ -110,7 +243,7 @@ class ColumnarRelation:
         self._probabilities = probabilities
         self.name = name
         if tids is None:
-            self._tids: list[Any] | None = None
+            self._tids = None
         else:
             tid_list = [_normalize_tid(t) for t in tids]
             if len(tid_list) != scores.size:
@@ -120,12 +253,6 @@ class ColumnarRelation:
             if len(set(tid_list)) != len(tid_list):
                 raise ValueError("duplicate tuple identifiers")
             self._tids = tid_list
-        # Lazily built caches (all derived, all deterministic).
-        self._order: np.ndarray | None = None
-        self._sorted_scores: np.ndarray | None = None
-        self._sorted_probabilities: np.ndarray | None = None
-        self._sorted_cache: list[Tuple] | None = None
-        self._tid_index: dict[Any, int] | None = None
 
     # ------------------------------------------------------------------
     # Container protocol (Tuple-compatible)
@@ -133,15 +260,17 @@ class ColumnarRelation:
     def __len__(self) -> int:
         return self._scores.size
 
-    def __iter__(self) -> Iterator[Tuple]:
+    def __iter__(self) -> "Iterator[Tuple]":
+        from .tuples import Tuple
+
         scores = self._scores
         probabilities = self._probabilities
         for i in range(scores.size):
             yield Tuple(self.tid_of(i), scores[i], probabilities[i])
 
-    def __getitem__(self, index: int) -> Tuple:
+    def __getitem__(self, index: int) -> "Tuple":
         i = range(len(self))[index]  # normalizes negatives, raises IndexError
-        return Tuple(self.tid_of(i), self._scores[i], self._probabilities[i])
+        return self.tuples_at([i])[0]
 
     def __contains__(self, tid: Any) -> bool:
         return tid in self._index()
@@ -161,134 +290,52 @@ class ColumnarRelation:
         """Existence probabilities in insertion order — the stored column itself."""
         return self._probabilities
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the two stored columns (derived caches excluded)."""
-        return self._scores.nbytes + self._probabilities.nbytes
+    def tuples_at(self, indices: Iterable[int]) -> "list[Tuple]":
+        """:class:`Tuple` objects for the given original positions, built now."""
+        from .tuples import Tuple
 
-    def expected_world_size(self) -> float:
-        """Expected number of present tuples, ``C = sum_i Pr(t_i)``."""
-        return float(self._probabilities.sum())
-
-    # ------------------------------------------------------------------
-    # Canonical score-descending order
-    # ------------------------------------------------------------------
-    def order(self) -> np.ndarray:
-        """Permutation of original positions in score-descending order.
-
-        A stable argsort of the negated scores reproduces the
-        ``(-score, insertion position)`` tie-break of
-        :meth:`ProbabilisticRelation.sorted_by_score` exactly.
-        """
-        if self._order is None:
-            self._order = np.argsort(-self._scores, kind="stable")
-        return self._order
-
-    def sorted_scores(self) -> np.ndarray:
-        """Scores gathered into score-descending order (cached)."""
-        if self._sorted_scores is None:
-            self._sorted_scores = self._scores[self.order()]
-        return self._sorted_scores
-
-    def sorted_probabilities(self) -> np.ndarray:
-        """Probabilities gathered into score-descending order (cached)."""
-        if self._sorted_probabilities is None:
-            self._sorted_probabilities = self._probabilities[self.order()]
-        return self._sorted_probabilities
-
-    def sorted_by_score(self) -> list[Tuple]:
-        """Materialized :class:`Tuple` list in the canonical order.
-
-        Compatibility path for consumers that need tuple objects
-        (``tuple_factor`` specs, the legacy ``rank_independent``, exports);
-        the hot kernels use :meth:`sorted_probabilities` /
-        :meth:`sorted_scores` instead.
-        """
-        if self._sorted_cache is None:
-            scores = self._scores
-            probabilities = self._probabilities
-            self._sorted_cache = [
-                Tuple(self.tid_of(i), scores[i], probabilities[i])
-                for i in self.order().tolist()
-            ]
-        return list(self._sorted_cache)
-
-    def score_rank_index(self) -> dict[Any, int]:
-        """Map tuple id -> 0-based position in the score-descending order."""
-        return {
-            self.tid_of(i): position
-            for position, i in enumerate(self.order().tolist())
-        }
+        index = np.asarray(indices, dtype=np.intp)
+        return [
+            Tuple(tid, score, probability)
+            for tid, score, probability in zip(
+                self.tid_values(index),
+                self._scores[index].tolist(),
+                self._probabilities[index].tolist(),
+            )
+        ]
 
     # ------------------------------------------------------------------
     # Identifiers
     # ------------------------------------------------------------------
-    def tid_of(self, index: int) -> Any:
-        """The identifier of the tuple at original position ``index``."""
-        if self._tids is None:
-            return f"t{index + 1}"
-        return self._tids[index]
-
-    def tid_values(self, indices: np.ndarray | None = None) -> list[Any]:
-        """Identifiers for the given original positions (all, when omitted)."""
-        if indices is None:
-            if self._tids is not None:
-                return list(self._tids)
-            return [f"t{i}" for i in range(1, len(self) + 1)]
-        positions = indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
-        if self._tids is None:
-            return [f"t{i + 1}" for i in positions]
-        tids = self._tids
-        return [tids[i] for i in positions]
-
-    def tid_strings_for(self, indices: np.ndarray) -> np.ndarray:
-        """``str(tid)`` for the given original positions, as a unicode array.
-
-        This feeds ``np.lexsort`` tie-breaking; for implicit identifiers
-        it is fully vectorized.
-        """
-        if self._tids is None:
-            numbers = np.asarray(indices, dtype=np.int64) + 1
-            return np.char.add("t", numbers.astype("U20"))
-        tids = self._tids
-        positions = indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
-        return np.array([str(tids[i]) for i in positions], dtype=str)
-
-    def get(self, tid: Any) -> Tuple:
+    def get(self, tid: Any) -> "Tuple":
         """Return the tuple with identifier ``tid`` (materialized on demand)."""
         return self[self._index()[tid]]
 
     def _index(self) -> dict[Any, int]:
         if self._tid_index is None:
-            if self._tids is None:
-                self._tid_index = {f"t{i + 1}": i for i in range(len(self))}
-            else:
-                self._tid_index = {t: i for i, t in enumerate(self._tids)}
+            self._tid_index = {tid: i for i, tid in enumerate(self.tid_values())}
         return self._tid_index
-
-    @property
-    def has_implicit_tids(self) -> bool:
-        """Whether identifiers are the virtual ``"t1", "t2", ...`` sequence."""
-        return self._tids is None
 
     # ------------------------------------------------------------------
     # Conversions
     # ------------------------------------------------------------------
     @property
-    def tuples(self) -> Sequence[Tuple]:
+    def tuples(self) -> "Sequence[Tuple]":
         """The tuples in insertion order, materialized."""
         return tuple(self)
 
-    def to_relation(self) -> ProbabilisticRelation:
+    def to_relation(self) -> "ProbabilisticRelation":
         """Materialize as a tuple-list :class:`ProbabilisticRelation`.
 
         The result fingerprints identically, so both representations hit
         the same service-level dedup key.
         """
+        from .tuples import ProbabilisticRelation
+
         return ProbabilisticRelation(list(self), name=self.name)
 
     @classmethod
-    def from_relation(cls, relation: ProbabilisticRelation) -> "ColumnarRelation":
+    def from_relation(cls, relation: "ProbabilisticRelation") -> "ColumnarRelation":
         """Convert a tuple-list relation to columns.
 
         Raises
@@ -298,15 +345,14 @@ class ColumnarRelation:
             attribute storage, and dropping them silently would change
             the relation's fingerprint and ``tuple_factor`` behaviour.
         """
-        tuples = list(relation)
-        if any(t.attributes for t in tuples):
+        if relation.attribute_maps() is not None:
             raise ValueError(
                 "cannot convert a relation with tuple attributes to columnar form"
             )
         return cls(
-            np.array([t.score for t in tuples], dtype=np.float64),
-            np.array([t.probability for t in tuples], dtype=np.float64),
-            tids=[t.tid for t in tuples],
+            relation.scores(),
+            relation.probabilities(),
+            tids=relation.tid_values(),
             name=relation.name,
         )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
@@ -10,7 +11,7 @@ from .tuples import Tuple
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import numpy as np
 
-    from .columnar import ColumnarRelation
+    from .columnar import RelationColumns
 
 __all__ = ["RankedItem", "RankingResult", "ColumnarRankingResult"]
 
@@ -82,6 +83,16 @@ class RankingResult:
         ]
         return cls(items, name=name)
 
+    def renamed(self, name: str) -> "RankingResult":
+        """The same ranking under another name, sharing this one's storage.
+
+        Keeps the class, so a lazy :class:`ColumnarRankingResult` stays
+        lazy instead of materializing every item.
+        """
+        clone = copy.copy(self)
+        clone.name = name
+        return clone
+
     # ------------------------------------------------------------------
     # Container protocol
     # ------------------------------------------------------------------
@@ -131,20 +142,22 @@ class RankingResult:
 
 
 class ColumnarRankingResult(RankingResult):
-    """A ranking backed by a :class:`~repro.core.columnar.ColumnarRelation`.
+    """A ranking of a tuple-independent relation, backed by its columns.
 
-    Instead of eagerly building one :class:`RankedItem` (and one
-    :class:`Tuple`) per tuple, the result stores the ranking as a
-    permutation of original positions plus the aligned value array.
-    Identifier queries (:meth:`top_k`, :meth:`tids`, :meth:`position_of`)
-    are answered straight from the arrays; :class:`RankedItem` objects
-    are materialized only if a caller actually iterates or indexes the
-    result, and then behave exactly like the eager container.
+    Instead of eagerly building one :class:`RankedItem` per tuple, the
+    result stores the ranking as a permutation of original positions
+    plus the aligned value array.  Identifier queries (:meth:`top_k`,
+    :meth:`tids`, :meth:`position_of`) are answered straight from the
+    arrays; :class:`RankedItem` objects are materialized only if a
+    caller actually iterates or indexes the result, from
+    ``relation.tuples_at`` (so a tuple-list relation's items are the
+    caller's own :class:`Tuple` objects), and then behave exactly like
+    the eager container.
     """
 
     def __init__(
         self,
-        relation: "ColumnarRelation",
+        relation: "RelationColumns",
         original_indices: "np.ndarray",
         values: "np.ndarray",
         name: str = "",
@@ -164,8 +177,8 @@ class ColumnarRankingResult(RankingResult):
     # Zero-copy accessors
     # ------------------------------------------------------------------
     @property
-    def relation(self) -> "ColumnarRelation":
-        """The columnar relation this ranking refers into."""
+    def relation(self) -> "RelationColumns":
+        """The relation this ranking refers into (the caller's own object)."""
         return self._relation
 
     def original_indices(self) -> "np.ndarray":
@@ -182,29 +195,18 @@ class ColumnarRankingResult(RankingResult):
     @property
     def _items(self) -> list[RankedItem]:
         if self._item_cache is None:
-            relation = self._relation
-            scores = relation.scores()
-            probabilities = relation.probabilities()
-            value_list = self._value_array.tolist()
-            tids = relation.tid_values(self._original)
-            self._item_cache = [
-                RankedItem(
-                    position=pos + 1,
-                    item=Tuple(tid, scores[i], probabilities[i]),
-                    value=value_list[pos],
-                )
-                for pos, (i, tid) in enumerate(zip(self._original.tolist(), tids))
-            ]
+            self._item_cache = self._items_at(range(len(self)))
         return self._item_cache
 
-    def _item_at(self, pos: int) -> RankedItem:
-        relation = self._relation
-        i = int(self._original[pos])
-        return RankedItem(
-            position=pos + 1,
-            item=Tuple(relation.tid_of(i), relation.scores()[i], relation.probabilities()[i]),
-            value=self._value_array[pos].item(),
-        )
+    def _items_at(self, positions: Sequence[int]) -> list[RankedItem]:
+        """The items at the given 0-based ranking positions, built in one pass."""
+        positions = list(positions)
+        tuples = self._relation.tuples_at(self._original[positions])
+        values = self._value_array[positions].tolist()
+        return [
+            RankedItem(position=pos + 1, item=item, value=value)
+            for pos, item, value in zip(positions, tuples, values)
+        ]
 
     # ------------------------------------------------------------------
     # Container protocol / views (array-backed fast paths)
@@ -216,9 +218,8 @@ class ColumnarRankingResult(RankingResult):
         if self._item_cache is not None:
             return super().__getitem__(index)
         if isinstance(index, slice):
-            positions = range(len(self))[index]
-            return RankingResult([self._item_at(p) for p in positions], name=self.name)
-        return self._item_at(range(len(self))[index])
+            return RankingResult(self._items_at(range(len(self))[index]), name=self.name)
+        return self._items_at([range(len(self))[index]])[0]
 
     def top_k(self, k: int) -> list[Any]:
         """Identifiers of the top ``k`` tuples (best first)."""

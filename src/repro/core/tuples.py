@@ -26,9 +26,9 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["Tuple", "ProbabilisticRelation"]
+from .columnar import _PROB_TOLERANCE, ColumnarRelation, RelationColumns, _frozen, _positions
 
-_PROB_TOLERANCE = 1e-9
+__all__ = ["Tuple", "ProbabilisticRelation"]
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,15 @@ class Tuple:
         return Tuple(self.tid, score, self.probability, self.attributes)
 
 
-class ProbabilisticRelation:
+class ProbabilisticRelation(RelationColumns):
     """A relation of mutually independent uncertain tuples.
 
-    The relation preserves insertion order, exposes vectorized views of
-    the scores and probabilities (as numpy arrays), and provides the
-    canonical score-descending ordering used by every ranking algorithm.
+    The relation preserves insertion order and keeps the caller's
+    :class:`Tuple` objects as its identifier and attribute side table.
+    Its score and probability columns (numpy arrays) are built from them
+    once, on first use, and are read-only; the canonical score-descending
+    order used by every ranking algorithm comes from the shared column
+    protocol (:class:`~repro.core.columnar.RelationColumns`).
 
     Parameters
     ----------
@@ -93,18 +96,21 @@ class ProbabilisticRelation:
         Optional human-readable name (used in reports and benchmarks).
     """
 
+    _scores: np.ndarray | None = None
+    _probabilities: np.ndarray | None = None
+
     def __init__(self, tuples: Iterable[Tuple], name: str = "") -> None:
         self._tuples: list[Tuple] = list(tuples)
         self.name = name
-        seen: set[Any] = set()
+        by_tid: dict[Any, Tuple] = {}
         for t in self._tuples:
             if not isinstance(t, Tuple):
                 raise TypeError(f"expected Tuple instances, got {type(t).__name__}")
-            if t.tid in seen:
+            if t.tid in by_tid:
                 raise ValueError(f"duplicate tuple identifier {t.tid!r}")
-            seen.add(t.tid)
-        self._by_tid = {t.tid: t for t in self._tuples}
-        self._sorted_cache: list[Tuple] | None = None
+            by_tid[t.tid] = t
+        self._by_tid = by_tid
+        self._tids = list(by_tid)
 
     # ------------------------------------------------------------------
     # Container protocol
@@ -144,51 +150,43 @@ class ProbabilisticRelation:
         return self._by_tid[tid]
 
     def scores(self) -> np.ndarray:
-        """Scores in insertion order as a float array."""
-        return np.array([t.score for t in self._tuples], dtype=float)
+        """Scores in insertion order as a read-only float array (built once)."""
+        if self._scores is None:
+            self._scores = _frozen(np.array([t.score for t in self._tuples], dtype=float))
+        return self._scores
 
     def probabilities(self) -> np.ndarray:
-        """Existence probabilities in insertion order as a float array."""
-        return np.array([t.probability for t in self._tuples], dtype=float)
+        """Existence probabilities in insertion order, read-only (built once)."""
+        if self._probabilities is None:
+            self._probabilities = _frozen(
+                np.array([t.probability for t in self._tuples], dtype=float)
+            )
+        return self._probabilities
 
-    def expected_world_size(self) -> float:
-        """Expected number of present tuples, ``C = sum_i Pr(t_i)``."""
-        return float(self.probabilities().sum())
+    def tuples_at(self, indices: Iterable[int]) -> list[Tuple]:
+        """The caller's own :class:`Tuple` objects at the given original positions."""
+        tuples = self._tuples
+        return [tuples[i] for i in _positions(indices)]
 
-    def sorted_by_score(self) -> list[Tuple]:
-        """Tuples sorted by descending score with deterministic tie-breaking.
-
-        Ties are broken by insertion position: of two equal-score tuples
-        the one inserted earlier is treated as having the higher score.
-        The result is cached because every ranking algorithm starts from
-        this ordering.
-        """
-        if self._sorted_cache is None:
-            indexed = list(enumerate(self._tuples))
-            indexed.sort(key=lambda pair: (-pair[1].score, pair[0]))
-            self._sorted_cache = [t for _, t in indexed]
-        return list(self._sorted_cache)
-
-    def score_rank_index(self) -> dict[Any, int]:
-        """Map tuple id -> 0-based position in the score-descending order."""
-        return {t.tid: i for i, t in enumerate(self.sorted_by_score())}
+    def attribute_maps(self) -> list[Mapping[str, Any]] | None:
+        """Per-tuple attribute payloads in insertion order; ``None`` when none has any."""
+        maps = [t.attributes for t in self._tuples]
+        return maps if any(maps) else None
 
     # ------------------------------------------------------------------
     # Columnar interop
     # ------------------------------------------------------------------
-    def to_columnar(self):
+    def to_columnar(self) -> ColumnarRelation:
         """This relation as a :class:`~repro.core.columnar.ColumnarRelation`.
 
         The columnar twin fingerprints identically and ranks
         bit-identically; relations whose tuples carry attributes cannot
         be converted (columns have no attribute storage).
         """
-        from .columnar import ColumnarRelation
-
         return ColumnarRelation.from_relation(self)
 
     @classmethod
-    def from_columnar(cls, columnar) -> "ProbabilisticRelation":
+    def from_columnar(cls, columnar: ColumnarRelation) -> "ProbabilisticRelation":
         """Materialize a columnar relation back into tuple-list form."""
         return columnar.to_relation()
 

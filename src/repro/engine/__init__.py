@@ -33,13 +33,11 @@ Quickstart — one batch may freely mix correlation models::
 from .approx import ApproxDecision, plan_approx
 from .backends import AndXorBackend, IndependentBackend, MarkovBackend, RankingBackend
 from .cache import (
-    CachedColumnar,
     CachedNetwork,
     CachedRelation,
     CachedTree,
     CacheStats,
     RelationCache,
-    columnar_fingerprint,
     dataset_fingerprint,
     network_fingerprint,
     relation_fingerprint,
@@ -63,12 +61,10 @@ __all__ = [
     "MarkovBackend",
     "RelationCache",
     "CachedRelation",
-    "CachedColumnar",
     "CachedTree",
     "CachedNetwork",
     "CacheStats",
     "relation_fingerprint",
-    "columnar_fingerprint",
     "tree_fingerprint",
     "network_fingerprint",
     "dataset_fingerprint",

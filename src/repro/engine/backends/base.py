@@ -21,10 +21,9 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from ...core.prf import RankingFunction
-from ...core.result import ColumnarRankingResult, RankedItem, RankingResult
+from ...core.result import RankingResult
 from ...core.tuples import Tuple
-from ..cache import CachedColumnar
-from ..topk import TopKReport, sort_columns, validated_k
+from ..topk import TopKReport, ranked_result, ranking_order, sort_columns, validated_k
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..facade import Engine
@@ -50,69 +49,24 @@ def build_result(
     name: str,
     sort_keys: np.ndarray | None = None,
 ) -> RankingResult:
-    """Vectorized equivalent of :meth:`RankingResult.from_values`.
+    """Vectorized :meth:`RankingResult.from_values` over a tree or network entry.
 
-    Replaces the Python comparison sort with one ``np.lexsort`` over the
-    same ``(-key, -score, str(tid))`` triple — both sorts are stable and
+    Replaces the Python comparison sort with
+    :func:`~repro.engine.topk.ranking_order` over the same
+    ``(-key, -score, str(tid))`` triple — both sorts are stable and
     compare floats and strings identically, so the resulting order is
-    the same; only the constant factor changes.  The score and tid sort
-    columns are cached on the entry, which any backend's cached dataset
-    (``ordered`` + ``extras``) supports.
-
-    Columnar entries take an item-free path: the ranking is computed as
-    a permutation array and wrapped in a lazy
-    :class:`~repro.core.result.ColumnarRankingResult`; tid strings are
-    only built (for the third sort key) when a ``(key, score)`` pair
-    actually ties, which the common distinct-scores case never hits.
+    the same; only the constant factor changes.  The score and tid
+    columns are cached on the entry.  Independent relations build their
+    results from the caller's relation instead (see
+    :mod:`repro.engine.backends.independent`).
     """
-    if isinstance(entry, CachedColumnar):
-        return _columnar_result(entry, values, name, sort_keys)
     ordered = entry.ordered
     if not ordered:
         return RankingResult([], name=name)
-    keys = (
-        np.abs(np.asarray(values))
-        if sort_keys is None
-        else np.asarray(sort_keys, dtype=float)
-    )
-    scores, tids = sort_columns(entry)
-    order = np.lexsort((tids, -scores, -keys))
-    value_list = values.tolist()
-    items = [
-        RankedItem(position=position + 1, item=ordered[i], value=value_list[i])
-        for position, i in enumerate(order)
-    ]
-    return RankingResult(items, name=name)
-
-
-def _columnar_result(
-    entry: CachedColumnar,
-    values: np.ndarray,
-    name: str,
-    sort_keys: np.ndarray | None,
-) -> RankingResult:
-    """Array-only ranking over a columnar entry (``values`` in sorted order)."""
-    relation = entry.relation
-    if not len(relation):
-        return RankingResult([], name=name)
     values = np.asarray(values)
-    keys = (
-        np.abs(values) if sort_keys is None else np.asarray(sort_keys, dtype=float)
-    )
-    scores = relation.sorted_scores()
-    order = np.lexsort((-scores, -keys))
-    ranked_keys = keys[order]
-    ranked_scores = scores[order]
-    if np.any(
-        (ranked_keys[1:] == ranked_keys[:-1]) & (ranked_scores[1:] == ranked_scores[:-1])
-    ):
-        # Only genuinely tied (key, score) pairs need the tid string
-        # column; the two-key sort is stable, so when no pair ties the
-        # three-key order is identical and the strings are never built.
-        _, tids = entry.sort_columns()
-        order = np.lexsort((tids, -scores, -keys))
-    original = relation.order()[order]
-    return ColumnarRankingResult(relation, original, values[order], name=name)
+    scores, tids = sort_columns(entry)
+    order = ranking_order(values, scores, lambda: tids, sort_keys)
+    return ranked_result([ordered[i] for i in order.tolist()], values[order], name)
 
 
 class RankingBackend(ABC):

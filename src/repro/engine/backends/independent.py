@@ -15,6 +15,14 @@ Batches of equal-size relations are stacked and pushed through the
 kernels of :mod:`repro.engine.kernels` in single vectorized passes; all
 results are bit-identical to :func:`repro.algorithms.independent.
 rank_independent`.
+
+Both storage forms take one path: the backend reads only the column
+protocol (:class:`~repro.core.columnar.RelationColumns`) and one
+content-keyed :class:`~repro.engine.cache.CachedRelation`.  Results are
+built from the caller's own relation: a full ranking is a lazy
+:class:`~repro.core.result.ColumnarRankingResult` whose items are
+``relation.tuples_at(...)`` (for a tuple-list relation, the caller's
+``Tuple`` objects), and a top-k result materializes only its ``k`` items.
 """
 
 from __future__ import annotations
@@ -24,10 +32,10 @@ from typing import Sequence
 import numpy as np
 
 from ...algorithms.independent import _resolve_limit, general_weights, uses_log_space
-from ...core.columnar import ColumnarRelation
+from ...core.columnar import RelationColumns
 from ...core.prf import LinearCombinationPRFe, PRFe, RankingFunction
-from ...core.result import RankingResult
-from ...core.tuples import ProbabilisticRelation, Tuple
+from ...core.result import ColumnarRankingResult, RankingResult
+from ...core.tuples import Tuple
 from ..cache import CachedRelation
 from ..kernels import (
     batched_general_values,
@@ -40,11 +48,12 @@ from ..topk import (
     TopKReport,
     certified,
     independent_topk_log_values,
-    prefix_top_k,
     prunable,
+    ranked_result,
+    ranking_order,
     validated_k,
 )
-from .base import RankingBackend, build_result
+from .base import RankingBackend
 
 __all__ = ["IndependentBackend"]
 
@@ -54,11 +63,42 @@ __all__ = ["IndependentBackend"]
 _MATERIALIZE_ELEMENTS = 16_000_000
 
 
-def _factors(rf: RankingFunction, entries) -> np.ndarray | None:
+def _factors(rf: RankingFunction, relations: Sequence[RelationColumns]) -> np.ndarray | None:
     """The ``(B, n)`` tuple factors ``g(t)`` of a stack, or ``None`` without any."""
     if rf.tuple_factor is None:
         return None
-    return np.array([[rf.factor(t) for t in entry.ordered] for entry in entries], dtype=float)
+    return np.array(
+        [[rf.factor(t) for t in relation.sorted_by_score()] for relation in relations],
+        dtype=float,
+    )
+
+
+def _ranking(
+    relation: RelationColumns,
+    entry: CachedRelation,
+    values: np.ndarray,
+    name: str,
+    sort_keys: np.ndarray | None = None,
+    k: int | None = None,
+) -> RankingResult:
+    """The ranking of ``relation`` from values over a score-descending prefix.
+
+    Without ``k`` the values cover the whole relation and the result is a
+    lazy :class:`ColumnarRankingResult`.  With ``k`` they cover an
+    examined prefix, and only the best ``k`` items are built; the
+    early-termination bound guarantees every unexamined tuple sorts
+    strictly below the k-th examined key, so these are the first ``k``
+    items of the full ranking.
+    """
+    values = np.asarray(values)
+    m = values.shape[0]
+    order = ranking_order(
+        values, entry.scores[:m], lambda: entry.tid_strings(relation, limit=m), sort_keys
+    )
+    if k is None:
+        return ColumnarRankingResult(relation, entry.order[order], values[order], name=name)
+    order = order[:k]
+    return ranked_result(relation.tuples_at(entry.order[order]), values[order], name)
 
 
 def _cacheable_row(stack: np.ndarray, row: int) -> np.ndarray:
@@ -77,7 +117,7 @@ class IndependentBackend(RankingBackend):
 
     def handles(self, data) -> bool:
         """Whether ``data`` is a tuple-independent relation (either storage)."""
-        return isinstance(data, (ProbabilisticRelation, ColumnarRelation))
+        return isinstance(data, RelationColumns)
 
     def algorithm(self, rf: RankingFunction) -> str:
         """Label of the Table-3 algorithm picked for ``rf``."""
@@ -93,7 +133,7 @@ class IndependentBackend(RankingBackend):
     # Single relation, single ranking function
     # ------------------------------------------------------------------
     def rank(
-        self, relation: ProbabilisticRelation, rf: RankingFunction, name: str = ""
+        self, relation: RelationColumns, rf: RankingFunction, name: str = ""
     ) -> RankingResult:
         """Rank one relation — the drop-in replacement for ``rank_independent``.
 
@@ -111,16 +151,16 @@ class IndependentBackend(RankingBackend):
             # The single-spec case of rank_many: same kernels, shared entry.
             return self.rank_many(relation, [rf], name=label)[0]
         entry = self.entry(relation)
-        values, _ = self._evaluate_stack([entry], len(relation), rf)
+        values, _ = self._evaluate_stack([relation], [entry], len(relation), rf)
         self.cache.enforce_budget()
-        return build_result(entry, values[0], label)
+        return _ranking(relation, entry, values[0], label)
 
     # ------------------------------------------------------------------
     # Top-k with early termination
     # ------------------------------------------------------------------
     def rank_top_k(
         self,
-        relation: ProbabilisticRelation,
+        relation: RelationColumns,
         rf: RankingFunction,
         k: int,
         name: str = "",
@@ -165,7 +205,7 @@ class IndependentBackend(RankingBackend):
                 entry.extras[key] = (log_values, examined, bound)
         with np.errstate(over="ignore", under="ignore"):
             values = np.exp(log_values)
-        result = prefix_top_k(entry, values, k, label, sort_keys=log_values)
+        result = _ranking(relation, entry, values, label, log_values, k=k)
         self.cache.enforce_budget()
         return result, TopKReport(k=k, n=n, examined=examined, pruned=examined < n)
 
@@ -174,7 +214,7 @@ class IndependentBackend(RankingBackend):
     # ------------------------------------------------------------------
     def rank_batch(
         self,
-        relations: Sequence[ProbabilisticRelation],
+        relations: Sequence[RelationColumns],
         rf: RankingFunction,
         store: bool = True,
     ) -> list[RankingResult]:
@@ -186,20 +226,14 @@ class IndependentBackend(RankingBackend):
         for n, indices in groups.items():
             entries = [self.entry(relations[i], store=store) for i in indices]
             for chunk_indices, chunk_entries in self._chunk(indices, entries, n, rf):
+                chunk = [relations[i] for i in chunk_indices]
                 values, sort_keys = self._evaluate_stack(
-                    chunk_entries, n, rf, cache_rows=store
+                    chunk, chunk_entries, n, rf, cache_rows=store
                 )
-                for row, index in enumerate(chunk_indices):
-                    relation = relations[index]
-                    entry = chunk_entries[row]
-                    if entry.source is None or entry.source() is not relation:
-                        # A content-equal twin looked up later in the batch
-                        # rebound the shared entry to its own tuples/columns;
-                        # point it back at this relation before building.
-                        entry = self.entry(relation, store=store)
+                for row, (index, relation) in enumerate(zip(chunk_indices, chunk)):
                     keys = sort_keys[row] if sort_keys is not None else None
-                    results[index] = build_result(
-                        entry, values[row], relation.name, sort_keys=keys
+                    results[index] = _ranking(
+                        relation, chunk_entries[row], values[row], relation.name, keys
                     )
         self.cache.enforce_budget()
         return [result for result in results if result is not None]
@@ -218,12 +252,13 @@ class IndependentBackend(RankingBackend):
 
     def _evaluate_stack(
         self,
+        relations: Sequence[RelationColumns],
         entries: Sequence[CachedRelation],
         n: int,
         rf: RankingFunction,
         cache_rows: bool = True,
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Values (and optional sort keys) for a stack of equal-size entries."""
+        """Values (and optional sort keys) for a stack of equal-size relations."""
         P = np.stack([entry.probabilities for entry in entries]) if n else np.zeros(
             (len(entries), 0)
         )
@@ -241,7 +276,7 @@ class IndependentBackend(RankingBackend):
         prefix = None
         if n * weights.size <= _MATERIALIZE_ELEMENTS:
             prefix = self._stacked_prefixes(entries, P, weights.size, cache_rows=cache_rows)
-        return batched_general_values(P, weights, _factors(rf, entries), prefix), None
+        return batched_general_values(P, weights, _factors(rf, relations), prefix), None
 
     def _stacked_prefixes(
         self,
@@ -272,7 +307,7 @@ class IndependentBackend(RankingBackend):
     # ------------------------------------------------------------------
     def rank_many(
         self,
-        relation: ProbabilisticRelation,
+        relation: RelationColumns,
         rfs: Sequence[RankingFunction],
         name: str = "",
     ) -> list[RankingResult]:
@@ -302,7 +337,7 @@ class IndependentBackend(RankingBackend):
             for index, values, log_values in self._prfe_alpha_sweep(
                 entry, [(i, rfs[i].alpha) for i in sweep]
             ):
-                results[index] = build_result(entry, values, label, sort_keys=log_values)
+                results[index] = _ranking(relation, entry, values, label, log_values)
         if other:
             # Complex-alpha PRFe and LinearCombinationPRFe specs: already
             # O(n) closed forms, evaluated from the shared cache entry so no
@@ -314,10 +349,11 @@ class IndependentBackend(RankingBackend):
                     values = batched_prfe_values(P, rf.alpha)[0]
                 else:
                     values = batched_lincomb_values(P, rf.coefficients, rf.alphas)[0]
-                results[index] = build_result(entry, values, label)
+                results[index] = _ranking(relation, entry, values, label)
         if general:
-            for index, values in self._general_many(entry, [(i, rfs[i]) for i in general]):
-                results[index] = build_result(entry, values, label)
+            specs = [(i, rfs[i]) for i in general]
+            for index, values in self._general_many(relation, entry, specs):
+                results[index] = _ranking(relation, entry, values, label)
         self.cache.enforce_budget()
         return [result for result in results if result is not None]
 
@@ -336,7 +372,7 @@ class IndependentBackend(RankingBackend):
         for row, (index, _) in enumerate(specs):
             yield index, values[row], log_values[row]
 
-    def _general_many(self, entry: CachedRelation, specs):
+    def _general_many(self, relation: RelationColumns, entry: CachedRelation, specs):
         """General-weight specs sharing one cached prefix matrix."""
         weights = {index: general_weights(rf, entry.n) for index, rf in specs}
         widest = max(w.size for w in weights.values())
@@ -346,7 +382,7 @@ class IndependentBackend(RankingBackend):
         P = entry.probabilities[None, :]
         for index, rf in specs:
             values = batched_general_values(
-                P, weights[index], _factors(rf, [entry]), prefix
+                P, weights[index], _factors(rf, [relation]), prefix
             )
             yield index, values[0]
 
@@ -354,7 +390,7 @@ class IndependentBackend(RankingBackend):
     # Derived queries
     # ------------------------------------------------------------------
     def positional_matrix(
-        self, relation: ProbabilisticRelation, max_rank: int | None = None
+        self, relation: RelationColumns, max_rank: int | None = None
     ) -> tuple[list[Tuple], np.ndarray]:
         """Cached positional probabilities (same contract as the algorithm).
 
@@ -362,13 +398,15 @@ class IndependentBackend(RankingBackend):
         from its entry by the budget enforcement.
         """
         limit = _resolve_limit(len(relation), max_rank)
-        entry = self.entry(relation)
-        matrix = entry.positional_matrix(limit)
+        matrix = self.entry(relation).positional_matrix(limit)
         self.cache.enforce_budget()
-        return list(entry.ordered), matrix
+        return relation.sorted_by_score(), matrix
 
-    def marginal_probabilities(self, relation: ProbabilisticRelation) -> dict:
+    def sorted_tuples(self, relation: RelationColumns) -> list[Tuple]:
+        """Score-descending tuples (the caller's own, for a tuple-list relation)."""
+        self.entry(relation)
+        return relation.sorted_by_score()
+
+    def marginal_probabilities(self, relation: RelationColumns) -> dict:
         """Existence probability per tuple identifier (trivial when independent)."""
-        if isinstance(relation, ColumnarRelation):
-            return dict(zip(relation.tid_values(), relation.probabilities().tolist()))
-        return {t.tid: t.probability for t in relation}
+        return dict(zip(relation.tid_values(), relation.probabilities().tolist()))

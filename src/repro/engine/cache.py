@@ -6,11 +6,16 @@ logically equal datasets share cache entries regardless of object
 identity, and a dataset rebuilt from the same data still hits.  One
 entry type exists per correlation model:
 
-* :class:`CachedRelation` (tuple-independent): the canonical
-  score-descending tuple order and the prefix generating-function matrix
-  of :func:`repro.algorithms.independent.prefix_polynomial_matrix` (the
+* :class:`CachedRelation` (tuple-independent, either storage form):
+  content-derived arrays only — the score-descending permutation, the
+  sorted score and probability columns, lazily built tid strings, the
+  prefix generating-function matrix of
+  :func:`repro.algorithms.independent.prefix_polynomial_matrix` (the
   O(n * max_rank) hot intermediate behind positional probabilities,
-  PT(h), U-Rank and every general-weight PRF evaluation).
+  PT(h), U-Rank and every general-weight PRF evaluation) and memoized
+  values.  It holds no relation and no ``Tuple`` objects: content-equal
+  relations share it, and every result is built from the caller's own
+  relation, so a hit never repoints anything.
 * :class:`CachedTree` (and/xor correlations): the sorted leaf order, the
   positional-probability matrix obtained from the tree's generating
   functions, and memoized PRFe value vectors of the incremental
@@ -20,6 +25,10 @@ entry type exists per correlation model:
   by every per-tuple evidence calibration, its memoized clique marginals
   by every ``Pr(X_t = 1)`` lookup) and the junction-tree-DP positional
   matrix.
+
+The tree and network entries keep the sorted ``Tuple`` list of the
+dataset that last looked them up: a hit from a content-equal but
+distinct dataset rebinds it to that dataset's own tuples.
 
 The cache is a bounded LRU with an element budget: array payloads are
 evicted least-recently-used once the total number of cached float64
@@ -41,8 +50,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..core.columnar import ColumnarRelation
-from ..core.tuples import ProbabilisticRelation, Tuple
+from ..core.columnar import RelationColumns
+from ..core.tuples import Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..andxor.tree import AndXorTree
@@ -51,12 +60,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 
 __all__ = [
     "relation_fingerprint",
-    "columnar_fingerprint",
     "tree_fingerprint",
     "network_fingerprint",
     "dataset_fingerprint",
     "CachedRelation",
-    "CachedColumnar",
     "CachedTree",
     "CachedNetwork",
     "RelationCache",
@@ -64,14 +71,6 @@ __all__ = [
 ]
 
 _FINGERPRINT_ATTR = "_engine_fingerprint"
-
-
-def _dataset_tuples(data):
-    """The dataset's tuples in its native order (any supported kind)."""
-    if isinstance(data, ProbabilisticRelation):
-        return data.tuples
-    tuples = data.tuples
-    return tuples() if callable(tuples) else tuples
 
 
 def _tuple_payload(digest, t: Tuple) -> None:
@@ -84,47 +83,18 @@ def _tuple_payload(digest, t: Tuple) -> None:
     digest.update(b"\x01")
 
 
-def relation_fingerprint(relation: ProbabilisticRelation) -> str:
-    """A stable content hash of a relation (scores, probabilities, tids).
+def relation_fingerprint(relation: RelationColumns) -> str:
+    """A stable content hash of a tuple-independent relation, either form.
 
-    The fingerprint is memoized on the relation object, which is safe
-    because :class:`ProbabilisticRelation` exposes no mutation API.
-    """
-    cached = getattr(relation, _FINGERPRINT_ATTR, None)
-    if cached is not None:
-        return cached
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(str(len(relation)).encode())
-    digest.update(relation.scores().tobytes())
-    digest.update(relation.probabilities().tobytes())
-    for t in relation:
-        digest.update(repr(t.tid).encode())
-        digest.update(b"\x00")
-        # Attributes feed tuple_factor ranking functions and ride along on
-        # cached Tuple objects, so they must distinguish relations too.  A
-        # repr that varies between equal payloads only costs a cache miss.
-        if t.attributes:
-            digest.update(repr(t.attributes).encode())  # repro: ignore[DET303]
-        digest.update(b"\x01")
-    fingerprint = digest.hexdigest()
-    try:
-        setattr(relation, _FINGERPRINT_ATTR, fingerprint)
-    except AttributeError:  # pragma: no cover - slotted subclasses
-        pass
-    return fingerprint
-
-
-def columnar_fingerprint(relation: ColumnarRelation) -> str:
-    """A stable content hash of a columnar relation.
-
-    Byte-for-byte the same hash input as :func:`relation_fingerprint`
-    over a tuple-list relation of equal content — length, the raw score
-    and probability buffers, then the per-tuple tid sections — so a
-    :class:`ColumnarRelation` and its materialized twin share one
-    content identity (service dedup, result caches) without either ever
-    being converted.  Columnar tuples carry no attributes, so the
-    attribute bytes of the tuple-list form never appear on either side
-    of the comparison (conversion rejects attribute-carrying relations).
+    Hashes the length, the raw insertion-order score and probability
+    buffers, then one ``repr(tid) \\x00 [repr(attributes)] \\x01``
+    section per tuple, so a :class:`~repro.core.tuples.ProbabilisticRelation`
+    and its :class:`~repro.core.columnar.ColumnarRelation` twin share one
+    content identity (service dedup, result caches, this cache).
+    Attributes feed ``tuple_factor`` ranking functions, so they
+    distinguish relations too; columnar relations carry none.  The
+    fingerprint is memoized on the relation object, which is safe
+    because neither form exposes a mutation API.
     """
     cached = getattr(relation, _FINGERPRINT_ATTR, None)
     if cached is not None:
@@ -133,10 +103,17 @@ def columnar_fingerprint(relation: ColumnarRelation) -> str:
     digest.update(str(len(relation)).encode())
     digest.update(np.ascontiguousarray(relation.scores()).tobytes())
     digest.update(np.ascontiguousarray(relation.probabilities()).tobytes())
+    attributes = relation.attribute_maps()
     if relation.has_implicit_tids:
         section = "".join(f"'t{i}'\x00\x01" for i in range(1, len(relation) + 1))
-    else:
+    elif attributes is None:
         section = "".join(f"{tid!r}\x00\x01" for tid in relation.tid_values())
+    else:
+        # A repr that varies between equal payloads only costs a cache miss.
+        section = "".join(
+            f"{tid!r}\x00{repr(payload) if payload else ''}\x01"
+            for tid, payload in zip(relation.tid_values(), attributes)
+        )
     digest.update(section.encode())
     fingerprint = digest.hexdigest()
     setattr(relation, _FINGERPRINT_ATTR, fingerprint)
@@ -203,10 +180,8 @@ def network_fingerprint(model: "MarkovNetworkRelation") -> str:
 
 def dataset_fingerprint(data) -> str:
     """The content fingerprint of any supported dataset kind."""
-    if isinstance(data, ProbabilisticRelation):
+    if isinstance(data, RelationColumns):
         return relation_fingerprint(data)
-    if isinstance(data, ColumnarRelation):
-        return columnar_fingerprint(data)
     from ..andxor.tree import AndXorTree
 
     if isinstance(data, AndXorTree):
@@ -261,17 +236,44 @@ def _drop_array_extras(extras: dict) -> None:
         del extras[key]
 
 
-class _PrefixEntry:
-    """The prefix-matrix methods shared by both independent-model entries.
+@dataclass
+class CachedRelation:
+    """The cached intermediates of one tuple-independent relation, either form.
 
-    Subclasses provide ``probabilities`` (score-descending), ``prefix``,
-    ``extras``, ``lock`` and ``n``.
+    Everything here is derived from the relation's content, so
+    content-equal relations (a tuple-list relation and its columnar twin
+    included) share one entry safely: the entry never refers to a
+    relation or its ``Tuple`` objects, and result builders take the
+    caller's relation as an argument.
     """
 
-    probabilities: np.ndarray
-    prefix: np.ndarray | None
-    extras: dict[Any, Any]
-    lock: threading.Lock
+    order: np.ndarray  # original positions in score-descending order
+    scores: np.ndarray  # score-descending order
+    probabilities: np.ndarray  # score-descending order
+    prefix: np.ndarray | None = None  # (n, limit_computed) or None
+    extras: dict[Any, Any] = field(default_factory=dict)
+    #: Guards prefix growth: concurrent growers at different limits must
+    #: not overwrite a wide matrix with a narrow one.
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    @property
+    def n(self) -> int:
+        """Number of tuples in the cached relation."""
+        return self.probabilities.size
+
+    def elements(self) -> int:
+        """Cached size in float64-equivalent elements (for the eviction budget).
+
+        Counts the order and the two sorted columns, the prefix matrix and
+        any array payloads stashed in ``extras`` (memoized values, the tid
+        strings, whose unicode array can dominate), normalizing by 8
+        bytes/element.
+        """
+        total_bytes = self.order.nbytes + self.scores.nbytes + self.probabilities.nbytes
+        if self.prefix is not None:
+            total_bytes += self.prefix.nbytes
+        total_bytes += _extras_bytes(self.extras)
+        return total_bytes // 8
 
     def shed(self) -> None:
         """Drop the heavy arrays, keeping the sorted order (see eviction).
@@ -283,6 +285,23 @@ class _PrefixEntry:
         with self.lock:
             self.prefix = None
             _drop_array_extras(self.extras)
+
+    def tid_strings(self, relation: RelationColumns, limit: int | None = None) -> np.ndarray:
+        """``str(tid)`` in score-descending order, the last ``lexsort`` key.
+
+        Identifiers are part of the fingerprint, so the column is built
+        from the caller's ``relation`` once and cached.  With a ``limit``
+        below ``n`` and no cached column, only the first ``limit`` are
+        built (the top-k prefix path).
+        """
+        tids = self.extras.get("sort_tids")
+        if tids is not None:
+            return tids[:limit]
+        if limit is not None and limit < self.n:
+            return relation.tid_strings_for(self.order[:limit])
+        tids = relation.tid_strings_for(self.order)
+        self.extras["sort_tids"] = tids
+        return tids
 
     def prefix_matrix(self, limit: int) -> np.ndarray:
         """The prefix polynomial matrix truncated to ``limit`` columns.
@@ -318,112 +337,6 @@ class _PrefixEntry:
     def positional_matrix(self, limit: int) -> np.ndarray:
         """``Pr(r(t_i) = j)`` for ``j = 1 .. limit`` from the cached prefix."""
         return self.prefix_matrix(limit) * self.probabilities[:, None]
-
-
-@dataclass
-class CachedRelation(_PrefixEntry):
-    """The cached intermediates of one relation."""
-
-    ordered: list[Tuple]
-    probabilities: np.ndarray  # score-descending order, aligned with ``ordered``
-    prefix: np.ndarray | None = None  # (n, limit_computed) or None
-    extras: dict[Any, Any] = field(default_factory=dict)
-    #: Weak reference to the relation the ``ordered`` Tuple objects came
-    #: from, so a content-equal but distinct relation gets results carrying
-    #: its *own* tuples (legacy identity semantics) instead of aliases.
-    source: weakref.ref | None = field(default=None, repr=False)
-    #: Guards prefix growth: concurrent growers at different limits must
-    #: not overwrite a wide matrix with a narrow one.
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    @property
-    def n(self) -> int:
-        """Number of tuples in the cached dataset."""
-        return len(self.ordered)
-
-    def elements(self) -> int:
-        """Cached size in float64-equivalent elements (for the eviction budget).
-
-        Counts the probability vector, the prefix matrix and any array
-        payloads stashed in ``extras`` (e.g. the sort columns, whose
-        unicode tid array can dominate), normalizing by 8 bytes/element.
-        """
-        total_bytes = self.probabilities.nbytes
-        if self.prefix is not None:
-            total_bytes += self.prefix.nbytes
-        total_bytes += _extras_bytes(self.extras)
-        return total_bytes // 8
-
-
-@dataclass
-class CachedColumnar(_PrefixEntry):
-    """The cached intermediates of one columnar relation.
-
-    Unlike :class:`CachedRelation`, no ``Tuple`` list exists up front:
-    the probability vector is a gather of the relation's own column by
-    its cached sort permutation, the sort columns (scores + tid strings)
-    are served from arrays, and tuple objects materialize only if a
-    consumer (a ``tuple_factor`` spec, a positional-matrix query) asks
-    for :attr:`ordered`.
-    """
-
-    relation: ColumnarRelation = field(repr=False, default=None)
-    probabilities: np.ndarray = None  # score-descending order
-    prefix: np.ndarray | None = None  # (n, limit_computed) or None
-    extras: dict[Any, Any] = field(default_factory=dict)
-    source: weakref.ref | None = field(default=None, repr=False)
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    @property
-    def n(self) -> int:
-        """Number of tuples in the cached dataset."""
-        return len(self.relation)
-
-    @property
-    def ordered(self) -> list[Tuple]:
-        """Score-descending ``Tuple`` list, materialized on first use.
-
-        The relation caches the materialization, so repeated legacy-path
-        hits pay the object construction once.
-        """
-        return self.relation.sorted_by_score()
-
-    def elements(self) -> int:
-        """Cached size in float64-equivalent elements (for the eviction budget).
-
-        The entry pins the relation's columns (unlike the tuple case,
-        where the ``Tuple`` objects are uncounted Python overhead), so
-        they are charged to the budget together with the gathered
-        probability vector, the prefix matrix and the extras.
-        """
-        total_bytes = self.relation.nbytes + self.probabilities.nbytes
-        if self.prefix is not None:
-            total_bytes += self.prefix.nbytes
-        total_bytes += _extras_bytes(self.extras)
-        return total_bytes // 8
-
-    def sort_columns(self, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """``(scores, tid strings)`` in score-descending order.
-
-        With a ``limit``, only the first ``limit`` tid strings are built
-        (the top-k prefix path); the full string column is cached in
-        ``extras`` so complete rankings pay the conversion once.
-        """
-        relation = self.relation
-        scores = relation.sorted_scores()
-        if limit is not None and limit < scores.size:
-            return scores[:limit], relation.tid_strings_for(relation.order()[:limit])
-        tids = self.extras.get("sort_tids")
-        if tids is None:
-            tids = relation.tid_strings_for(relation.order())
-            self.extras["sort_tids"] = tids
-        return scores, tids
-
-    def tuple_at(self, position: int) -> Tuple:
-        """The :class:`Tuple` at score-descending ``position``, built on demand."""
-        relation = self.relation
-        i = int(relation.order()[position])
-        return Tuple(relation.tid_of(i), relation.scores()[i], relation.probabilities()[i])
 
 
 @dataclass
@@ -582,7 +495,7 @@ class CachedNetwork:
 
 
 class RelationCache:
-    """A bounded LRU cache of :class:`CachedRelation` entries.
+    """A bounded LRU cache of per-dataset entries, keyed on content fingerprints.
 
     Parameters
     ----------
@@ -593,9 +506,11 @@ class RelationCache:
         elements across all entries (8 bytes each); least-recently-used
         entries are evicted until the budget holds.  An entry whose matrix
         alone exceeds the budget is still served but not retained.  The
-        budget covers the array payloads (probabilities, prefix matrices,
-        sort columns); the Python-object overhead of the retained ``Tuple``
-        lists is not counted and is bounded only by ``max_relations``.
+        budget covers the array payloads (sorted columns, prefix and
+        positional matrices, tid strings, memoized values); the
+        Python-object overhead of the tree and network entries' retained
+        ``Tuple`` lists is not counted and is bounded only by
+        ``max_relations``.
 
     The cache is protected by a lock, so concurrent ``rank()`` calls from
     multiple threads are safe; entry matrices may be computed redundantly
@@ -628,7 +543,7 @@ class RelationCache:
         with self._lock:
             self._entries.clear()
 
-    def get(self, relation: ProbabilisticRelation, store: bool = True) -> CachedRelation:
+    def get(self, relation: RelationColumns, store: bool = True) -> CachedRelation:
         """The cached entry for an independent relation (see :meth:`entry_for`)."""
         return self.entry_for(relation, store=store)
 
@@ -643,32 +558,21 @@ class RelationCache:
         of the LRU.
         """
         key = dataset_fingerprint(data)
-        if isinstance(data, ColumnarRelation):
-            # Columnar and tuple-list twins share a *content* fingerprint
-            # (service dedup relies on that) but need different entry
-            # shapes, so the cache keys them apart.
-            key = "col:" + key
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
         if entry is not None:
-            if isinstance(entry, CachedColumnar):
-                if entry.source is None or entry.source() is not data:
-                    # Content-equal but distinct relation: repoint the
-                    # entry at the caller's columns (results must refer
-                    # to the caller's own object); derived arrays are
-                    # bit-identical by fingerprint, so they are kept.
-                    entry.relation = data
-                    entry.source = weakref.ref(data)
-                return entry
-            if entry.source is None or entry.source() is not data:
-                # Content-equal but distinct dataset: rebind the tuple
-                # objects so results carry the caller's own tuples.  One
-                # dict pass over the dataset's tuples — a ``get()`` per
-                # tid would make warm hits quadratic.
-                by_tid = {t.tid: t for t in _dataset_tuples(data)}
+            if not isinstance(entry, CachedRelation) and (
+                entry.source is None or entry.source() is not data
+            ):
+                # Content-equal but distinct tree or network: rebind the
+                # tuple objects so results carry the caller's own tuples.
+                # One dict pass over the dataset's tuples — a ``get()``
+                # per tid would make warm hits quadratic.
+                tuples = data.tuples
+                by_tid = {t.tid: t for t in (tuples() if callable(tuples) else tuples)}
                 entry.ordered = [by_tid[t.tid] for t in entry.ordered]
                 entry.source = weakref.ref(data)
             return entry
@@ -683,18 +587,11 @@ class RelationCache:
 
     @staticmethod
     def _build_entry(data):
-        if isinstance(data, ColumnarRelation):
-            return CachedColumnar(
-                relation=data,
-                probabilities=data.sorted_probabilities(),
-                source=weakref.ref(data),
-            )
-        if isinstance(data, ProbabilisticRelation):
-            ordered = data.sorted_by_score()
+        if isinstance(data, RelationColumns):
             return CachedRelation(
-                ordered=ordered,
-                probabilities=np.array([t.probability for t in ordered], dtype=float),
-                source=weakref.ref(data),
+                order=data.order(),
+                scores=data.sorted_scores(),
+                probabilities=data.sorted_probabilities(),
             )
         from ..andxor.tree import AndXorTree
 

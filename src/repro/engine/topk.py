@@ -47,18 +47,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..algorithms.independent import uses_log_space
 from ..core.prf import RankingFunction
 from ..core.result import RankedItem, RankingResult
+from ..core.tuples import Tuple
 
 __all__ = [
     "BOUND_SAFETY",
     "TopKReport",
     "prunable",
     "validated_k",
+    "ranking_order",
+    "ranked_result",
     "sort_columns",
     "independent_topk_log_values",
     "certified",
@@ -142,24 +146,48 @@ def validated_k(k: int) -> int:
     return validated
 
 
-def sort_columns(entry, limit: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The cached ``(scores, tids)`` lexsort columns of a cache entry.
+def ranking_order(
+    values: np.ndarray,
+    scores: np.ndarray,
+    tid_strings: Callable[[], np.ndarray],
+    sort_keys: np.ndarray | None = None,
+) -> np.ndarray:
+    """Positions sorted by ``(-key, -score, str(tid))``, the ranking order.
 
-    The same columns :func:`repro.engine.backends.base.build_result`
-    caches under ``entry.extras["sort_columns"]`` — factored here so the
-    prefix result builder shares them with the full-ranking path (a
-    pruned request warms the cache for a later full ranking and vice
-    versa).
-
-    Entries that can serve the columns without materializing tuple
-    objects (:class:`~repro.engine.cache.CachedColumnar`) expose their
-    own ``sort_columns`` method and are delegated to; ``limit`` lets the
-    top-k prefix path ask for only the examined head (tuple-list entries
-    ignore it and return the full columns, which callers slice).
+    The key is ``|value|`` unless ``sort_keys`` overrides it; the order is
+    that of :meth:`~repro.core.result.RankingResult.from_values`, shared
+    by every result builder.  ``np.lexsort`` is stable, so when no two
+    positions tie on both key and score the two-key order already is the
+    three-key one and ``tid_strings()``, usually the costliest column, is
+    never called.  ``scores`` are score-descending (every entry's are), so
+    without two equal neighbours no tie is possible and the scan is
+    skipped.  The sort ranks NaN keys equal, so two NaNs tie here too.
     """
-    build = getattr(entry, "sort_columns", None)
-    if build is not None:
-        return build(limit)
+    keys = np.abs(values) if sort_keys is None else np.asarray(sort_keys, dtype=float)
+    order = np.lexsort((-scores, -keys))
+    if (scores[1:] == scores[:-1]).any():
+        ranked_keys = keys[order]
+        ranked_scores = scores[order]
+        same_key = ranked_keys[1:] == ranked_keys[:-1]
+        same_key |= np.isnan(ranked_keys[1:]) & np.isnan(ranked_keys[:-1])
+        if (same_key & (ranked_scores[1:] == ranked_scores[:-1])).any():
+            order = np.lexsort((tid_strings(), -scores, -keys))
+    return order
+
+
+def ranked_result(items: Sequence[Tuple], values: np.ndarray, name: str) -> RankingResult:
+    """An eager :class:`RankingResult` of ``items`` already in ranking order."""
+    return RankingResult(
+        [
+            RankedItem(position=position + 1, item=item, value=value)
+            for position, (item, value) in enumerate(zip(items, values.tolist()))
+        ],
+        name=name,
+    )
+
+
+def sort_columns(entry) -> tuple[np.ndarray, np.ndarray]:
+    """The cached ``(scores, str(tid))`` columns of a tree or network entry."""
     columns = entry.extras.get("sort_columns")
     if columns is None:
         ordered = entry.ordered
@@ -255,29 +283,19 @@ def prefix_top_k(
     name: str,
     sort_keys: np.ndarray | None = None,
 ) -> RankingResult:
-    """Top-k :class:`RankingResult` from values over an examined prefix.
+    """Top-k :class:`RankingResult` of a tree or network entry from an examined prefix.
 
     The prefix-restricted twin of
     :func:`repro.engine.backends.base.build_result`: the same
-    ``(-key, -score, str(tid))`` lexsort over the examined slice of the
-    cached sort columns, truncated to the best ``k`` items with
-    positions ``1 .. k``.  Because the early-termination bound
-    guarantees every unexamined tuple sorts strictly below the k-th
-    examined key, this equals the first ``k`` items of the full ranking.
+    :func:`ranking_order` over the examined slice of the entry's
+    columns, truncated to the best ``k`` items with positions
+    ``1 .. k``.  Because the early-termination bound guarantees every
+    unexamined tuple sorts strictly below the k-th examined key, this
+    equals the first ``k`` items of the full ranking.
     """
     values = np.asarray(values)
     m = values.shape[0]
-    keys = (
-        np.abs(values) if sort_keys is None else np.asarray(sort_keys, dtype=float)
-    )
-    scores, tids = sort_columns(entry, limit=m)
-    order = np.lexsort((tids[:m], -scores[:m], -keys))[:k]
-    value_list = values.tolist()
-    tuple_at = getattr(entry, "tuple_at", None)
-    if tuple_at is None:
-        tuple_at = entry.ordered.__getitem__
-    items = [
-        RankedItem(position=position + 1, item=tuple_at(i), value=value_list[i])
-        for position, i in enumerate(order)
-    ]
-    return RankingResult(items, name=name)
+    scores, tids = sort_columns(entry)
+    order = ranking_order(values, scores[:m], lambda: tids[:m], sort_keys)[:k]
+    ordered = entry.ordered
+    return ranked_result([ordered[i] for i in order.tolist()], values[order], name)

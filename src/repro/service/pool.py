@@ -1865,7 +1865,7 @@ class PooledRankingService(RankingService):
         for request, result, plan in zip(requests, results, plans):
             expected = request.name or getattr(request.data, "name", "")
             if expected and result.name != expected:
-                result = RankingResult(list(result), name=expected)
+                result = result.renamed(expected)
             reply = ServiceReply(
                 result=result,
                 model=plan.model,

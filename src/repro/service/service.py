@@ -580,7 +580,7 @@ class RankingService:
                 continue
             for request, result, plan in zip(requests, results, plans):
                 if request.name and result.name != request.name:
-                    result = RankingResult(list(result), name=request.name)
+                    result = result.renamed(request.name)
                 reply = ServiceReply(
                     result=result,
                     model=plan.model,

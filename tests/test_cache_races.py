@@ -22,7 +22,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro import Engine, PRFe, PRFOmega, Tuple
+from repro import Engine, PRFe, PRFOmega, ProbabilisticRelation, Tuple
+from repro.core.columnar import ColumnarRelation
 from repro.core.weights import StepWeight
 from repro.engine.cache import RelationCache, dataset_fingerprint
 from repro.graphical import MarkovChainRelation, MarkovNetworkRelation
@@ -219,3 +220,72 @@ class TestSharedNetworkColdRank:
                 assert all(result == serial for result in results)
         finally:
             sys.setswitchinterval(interval)
+
+
+def twin_forms(columnar: bool, count: int, n: int = 40):
+    """``count`` distinct, content-equal relations in one storage form."""
+    rng = np.random.default_rng(13)
+    scores = rng.permutation(n).astype(float)
+    probabilities = rng.uniform(0.05, 1.0, size=n)
+    if columnar:
+        return [ColumnarRelation(scores.copy(), probabilities.copy()) for _ in range(count)]
+    return [ProbabilisticRelation.from_arrays(scores, probabilities) for _ in range(count)]
+
+
+class TestTwinsOnThreads:
+    @pytest.mark.parametrize("columnar", [False, True], ids=["tuple", "columnar"])
+    def test_every_result_refers_to_the_callers_twin(self, columnar):
+        """Threads ranking content-equal twins through one engine keep their own objects.
+
+        Regression: a cache hit repointed the one shared entry at the
+        caller's relation (or its ``Tuple`` list) while other threads were
+        still building results from it, so results referred to another
+        thread's relation or carried another caller's tuples.
+        """
+        workers, rounds = 4, 60
+        engine = Engine()
+        specs = [PRFe(0.9), PRFOmega(StepWeight(5))]
+        twins = twin_forms(columnar, workers)
+        engine.rank(twins[0], specs[0])
+
+        def worker(twin, barrier, slot: int) -> None:
+            try:
+                barrier.wait()
+                for _ in range(rounds):
+                    for rf in specs:
+                        collected[slot].append(engine.rank(twin, rf))
+                        collected[slot].append(engine.rank_batch([twin], rf)[0])
+                    collected[slot].append(engine.rank_top_k(twin, specs[0], 5)[0])
+            except BaseException as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            barrier = threading.Barrier(workers)
+            collected: list[list] = [[] for _ in range(workers)]
+            errors: list[BaseException] = []
+            threads = [
+                threading.Thread(target=worker, args=(twin, barrier, slot))
+                for slot, twin in enumerate(twins)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        foreign = 0
+        for twin, results in zip(twins, collected):
+            assert len(results) == rounds * (2 * len(specs) + 1)
+            if columnar:
+                full = [r for r in results if hasattr(r, "relation")]
+                assert len(full) == rounds * 2 * len(specs)
+                foreign += sum(r.relation is not twin for r in full)
+            else:
+                own = {t.tid: t for t in twin}
+                foreign += sum(
+                    item.item is not own[item.tid] for r in results for item in r
+                )
+        assert foreign == 0

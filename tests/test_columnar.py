@@ -35,7 +35,7 @@ from repro.datasets import (
     save_columnar,
     save_relation_csv,
 )
-from repro.engine.cache import dataset_fingerprint
+from repro.engine.cache import dataset_fingerprint, relation_fingerprint
 from repro.graphical import MarkovNetworkRelation
 
 FAMILY = [
@@ -209,6 +209,50 @@ class TestFingerprints:
         assert result.relation is second
 
 
+GOLDEN_RELATIONS = {
+    "tuples": lambda: ProbabilisticRelation(
+        [Tuple("a", 3.0, 0.5), Tuple("b", 1.5, 0.25), Tuple("c", 1.5, 1.0), Tuple("d", -2.0, 0.0)]
+    ),
+    "tuples_with_attributes": lambda: ProbabilisticRelation(
+        [
+            Tuple("a", 3.0, 0.5, {"source": "VIS"}),
+            Tuple("b", 1.5, 0.25),
+            Tuple("c", 1.5, 1.0, {"k": 1}),
+            Tuple("d", -2.0, 0.0),
+        ]
+    ),
+    "columnar_implicit_tids": lambda: ColumnarRelation(
+        [0.5, -0.0, 7.25, 0.5, 1e300], [0.1, 1.0, 0.0, 0.75, 0.3]
+    ),
+    "columnar_int_tids": lambda: ColumnarRelation(
+        [2.0, 9.0, 4.5], [0.9, 0.125, 0.5], tids=[10, 20, 30]
+    ),
+}
+
+#: Digests of the relations above, pinned when tuple and columnar
+#: relations still had separate fingerprint functions: service dedup and
+#: TTL keys must not move.
+GOLDEN_DIGESTS = {
+    "tuples": "7a9e61f01e3f241774bcb68f07e0f650",
+    "tuples_with_attributes": "50ff07bd85e57c3160826bc299ca668d",
+    "columnar_implicit_tids": "f3b0ca8cdcad05720f02497757010ce2",
+    "columnar_int_tids": "cfbef5fdab59061ebb876e450ddfde48",
+}
+
+
+class TestGoldenFingerprints:
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_DIGESTS))
+    def test_digest_is_unchanged(self, kind):
+        assert relation_fingerprint(GOLDEN_RELATIONS[kind]()) == GOLDEN_DIGESTS[kind]
+
+    def test_twins_share_one_digest(self):
+        plain = GOLDEN_RELATIONS["tuples"]()
+        assert relation_fingerprint(plain.to_columnar()) == GOLDEN_DIGESTS["tuples"]
+        for kind in ("columnar_implicit_tids", "columnar_int_tids"):
+            twin = GOLDEN_RELATIONS[kind]().to_relation()
+            assert relation_fingerprint(twin) == GOLDEN_DIGESTS[kind]
+
+
 class TestRankingEquivalence:
     @pytest.mark.parametrize("rf", FAMILY)
     def test_rank_bit_identical(self, rf, rng):
@@ -349,23 +393,97 @@ class TestColumnarIO:
         assert dataset_fingerprint(columnar_form) == dataset_fingerprint(tuple_form)
 
 
-@settings(max_examples=40, deadline=None)
+@st.composite
+def twin_inputs(draw):
+    """``(pairs, tids, k)`` for a tuple/columnar twin pair and a top-k cutoff.
+
+    Scores and probabilities also come from small pools, so score ties
+    and value ties (every ``p = 0`` tuple, for one) are common;
+    identifiers are implicit, explicit strings or explicit ints.
+    """
+    n = draw(st.integers(min_value=0, max_value=20))
+    score = st.one_of(
+        st.sampled_from([1.0, 2.0, 3.0]),
+        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+    )
+    probability = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    )
+    pairs = draw(st.lists(st.tuples(score, probability), min_size=n, max_size=n))
+    numbers = draw(
+        st.lists(st.integers(min_value=-50, max_value=50), min_size=n, max_size=n, unique=True)
+    )
+    tids = draw(st.sampled_from([None, [f"x{v}" for v in numbers], numbers]))
+    return pairs, tids, draw(st.integers(min_value=0, max_value=n + 1))
+
+
+def ranking_columns(result):
+    """``(tids, positions, values)`` of a ranking, read item by item."""
+    items = list(result)
+    return (
+        [item.tid for item in items],
+        [item.position for item in items],
+        np.array([item.value for item in items]),
+    )
+
+
+def assert_twins_rank_alike(tuple_form, columnar_form, rf, k) -> None:
+    """Both forms rank alike on every engine path, through one shared engine.
+
+    Every item of a tuple-form result is the caller's own ``Tuple``.
+    """
+    engine = Engine()
+    specs = [rf, PRFe(0.7)]
+    pairs = [
+        (engine.rank(tuple_form, rf), engine.rank(columnar_form, rf)),
+        tuple(engine.rank_batch([tuple_form, columnar_form], rf)),
+        *zip(engine.rank_many(tuple_form, specs), engine.rank_many(columnar_form, specs)),
+        *[
+            (engine.rank_top_k(tuple_form, spec, k)[0], engine.rank_top_k(columnar_form, spec, k)[0])
+            for spec in specs
+        ],
+    ]
+    assert isinstance(pairs[0][0], ColumnarRankingResult)
+    for from_tuples, from_columns in pairs:
+        tids, positions, values = ranking_columns(from_tuples)
+        expected_tids, expected_positions, expected_values = ranking_columns(from_columns)
+        assert tids == expected_tids
+        assert positions == expected_positions
+        assert np.array_equal(values, expected_values)
+        assert all(item.item is tuple_form.get(item.tid) for item in from_tuples)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-            st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        ),
-        min_size=0,
-        max_size=20,
+    twin_inputs(),
+    st.sampled_from(
+        [
+            PRFe(0.9),
+            PRFOmega([1.0, 0.5, 0.25]),
+            PRF(NDCGDiscountWeight()),
+            PRFe(0.5 + 0.25j),
+            PRF(NDCGDiscountWeight(), tuple_factor=lambda t: t.score),
+        ]
     ),
-    st.sampled_from([PRFe(0.9), PRFOmega([1.0, 0.5, 0.25]), PRF(NDCGDiscountWeight())]),
 )
-def test_property_columnar_equals_tuple(pairs, rf):
-    """Any score/probability mix ranks identically in both storage forms."""
+def test_property_columnar_equals_tuple(case, rf):
+    """Any score/probability mix ranks identically in both storage forms.
+
+    The tuple form is checked with and without attributes (which never
+    influence ranking) against its columnar twin on every engine path.
+    """
+    pairs, tids, k = case
     scores = np.asarray([score for score, _ in pairs], dtype=float)
     probabilities = np.asarray([p for _, p in pairs], dtype=float)
-    tuple_form = ProbabilisticRelation.from_arrays(scores, probabilities)
-    columnar_form = ColumnarRelation(scores, probabilities)
+    columnar_form = ColumnarRelation(scores, probabilities, tids=tids)
+    tuple_form = ProbabilisticRelation(
+        [Tuple(tid, s, p) for tid, s, p in zip(columnar_form.tid_values(), scores, probabilities)]
+    )
     assert dataset_fingerprint(tuple_form) == dataset_fingerprint(columnar_form)
     assert_same_result(Engine().rank(tuple_form, rf), Engine().rank(columnar_form, rf))
+    attributed = ProbabilisticRelation(
+        [Tuple(t.tid, t.score, t.probability, {"row": i}) for i, t in enumerate(tuple_form)]
+    )
+    for twin in (tuple_form, attributed):
+        assert_twins_rank_alike(twin, columnar_form, rf, k)

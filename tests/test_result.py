@@ -60,3 +60,28 @@ class TestRankingResult:
         item = RankedItem(position=1, item=Tuple("a", 1.0, 0.5), value=-2.0)
         assert item.magnitude == 2.0
         assert item.tid == "a"
+
+
+class TestRenamed:
+    def test_eager_result_shares_its_items(self):
+        result = RankingResult.from_values(_tuples(), [3, 2, 1], name="old")
+        renamed = result.renamed("new")
+        assert type(renamed) is RankingResult
+        assert renamed.name == "new" and result.name == "old"
+        assert [item for item in renamed] == [item for item in result]
+        assert renamed[0] is result[0]
+
+    def test_lazy_result_stays_lazy(self):
+        from repro import Engine, PRFe, ProbabilisticRelation
+
+        relation = ProbabilisticRelation(_tuples(), name="old")
+        result = Engine().rank(relation, PRFe(0.9))
+        renamed = result.renamed("new")
+        assert type(renamed) is type(result)
+        assert renamed.name == "new" and result.name == "old"
+        assert renamed._item_cache is None
+        assert renamed.values_array() is result.values_array()
+        assert renamed.original_indices() is result.original_indices()
+        assert renamed.tids() == result.tids()
+        assert [item.item for item in renamed] == [relation.get(t) for t in result.tids()]
+        assert all(item.item is relation.get(item.tid) for item in renamed)

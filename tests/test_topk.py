@@ -34,7 +34,13 @@ from repro.andxor.ranking import prfe_topk_values_tree, prfe_values_tree
 from repro.andxor.tree import AndXorTree
 from repro.core.weights import NDCGDiscountWeight, StepWeight
 from repro.engine import TopKReport, prunable
-from repro.engine.topk import certified, independent_topk_log_values, validated_k
+from repro.core.result import RankingResult
+from repro.engine.topk import (
+    certified,
+    independent_topk_log_values,
+    ranking_order,
+    validated_k,
+)
 from repro.graphical import MarkovChainRelation
 from repro.graphical.ranking import prefix_count_distribution
 from repro.service import RankingService
@@ -279,6 +285,32 @@ class TestKernels:
         assert examined <= 500
         np.testing.assert_array_equal(log_values, full[:examined])
         assert certified(log_values, 5, bound)
+
+    def test_ranking_order_breaks_key_and_score_ties_by_tid_string(self):
+        calls = []
+
+        def strings(*tids):
+            return lambda: calls.append(1) or np.array(tids)
+
+        order = ranking_order(np.array([0.0, 0.0, 0.5]), np.ones(3), strings("b", "a", "c"))
+        assert order.tolist() == [2, 1, 0] and len(calls) == 1
+        # NaN keys sort last and tie with each other: "10" < "9" as strings.
+        nan = np.array([np.nan, np.nan, 0.5])
+        assert ranking_order(nan, np.ones(3), strings("9", "10", "c")).tolist() == [2, 1, 0]
+        assert len(calls) == 2
+        distinct = ranking_order(np.array([0.1, 0.2]), np.ones(2), strings("a", "b"))
+        assert distinct.tolist() == [1, 0] and len(calls) == 2
+
+    def test_tied_tuples_rank_by_tid_string_in_both_forms(self):
+        tuples = [Tuple(9, 1.0, 0.0), Tuple(10, 1.0, 0.0), Tuple("x", 2.0, 0.0)]
+        relation = ProbabilisticRelation(tuples)
+        expected = RankingResult.from_values(tuples, [0.0] * 3).tids()
+        assert expected == ["x", 10, 9]
+        for data in (relation, relation.to_columnar()):
+            engine = Engine()
+            for rf in (PRFe(0.9), PRFOmega(StepWeight(2))):
+                assert engine.rank(data, rf).tids() == expected
+                assert engine.rank_top_k(data, rf, 2)[0].tids() == expected[:2]
 
     def test_certified_semantics(self):
         keys = np.array([5.0, 3.0, 1.0])
