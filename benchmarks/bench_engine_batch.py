@@ -59,6 +59,11 @@ SMALL_N = 200
 #: Sweeps in the timed region: enough to keep it above ~20 ms, well over
 #: the regression gate's 5 ms floor, on a 2-core x86 box.
 SMALL_ROUNDS = 32
+COLD_TREE_N = 200
+COLD_TREE_HORIZON = 50
+#: Cold ranks in the timed region: enough to keep it above ~20 ms on a
+#: 2-core x86 box.
+COLD_TREE_ROUNDS = 8
 
 
 def _cache_stats(engine: Engine) -> dict:
@@ -534,6 +539,43 @@ def test_small_relation_rank_and_topk(benchmark, save_result):
                 f"relations           {SMALL_RELATIONS} x n={SMALL_N} tuple relations, warm",
                 f"sweep x {SMALL_ROUNDS} (s)      {elapsed:.4f}",
                 f"rank + top-k (us)   {per_pair * 1e6:.1f}",
+            ]
+        ),
+    )
+
+
+def test_andxor_general_weight_cold(benchmark, save_result):
+    """Cold and/xor ranking under a general weight: the stacked tree walk.
+
+    ``Engine().rank(syn_xor(200), PRFOmega(StepWeight(50)))`` on a fresh
+    engine per call, so every call builds the tree's positional matrix:
+    all 200 tuples' generating functions in one stacked walk of the tree.
+    The call repeats ``COLD_TREE_ROUNDS`` times per timed call, at the
+    same size in smoke and full runs.  The ranking must equal the legacy
+    ``rank_tree`` one bit for bit.
+    """
+    tree = syn_xor(COLD_TREE_N, rng=227)
+    rf = PRFOmega(StepWeight(COLD_TREE_HORIZON))
+
+    def cold():
+        for _ in range(COLD_TREE_ROUNDS):
+            result = Engine().rank(tree, rf)
+        return result
+
+    result, elapsed = _best_of(cold)
+    run_once(benchmark, cold)
+
+    legacy = rank_tree(tree, rf)
+    assert result.tids() == legacy.tids()
+    assert [item.value for item in result] == [item.value for item in legacy]
+    save_result(
+        "engine_andxor_general_weight",
+        "\n".join(
+            [
+                f"tree                Syn-XOR n={COLD_TREE_N}, PRFomega(Step {COLD_TREE_HORIZON}), "
+                "fresh engine per call",
+                f"{COLD_TREE_ROUNDS} cold ranks (s)   {elapsed:.4f}",
+                f"cold rank (ms)      {elapsed / COLD_TREE_ROUNDS * 1e3:.2f}",
             ]
         ),
     )

@@ -3,7 +3,7 @@
 The and/xor-tree ranking algorithms repeatedly multiply and expand
 polynomials.  Appendix B of the paper discusses three strategies, all of
 which are implemented here so that they can be benchmarked against each
-other (``benchmarks/bench_ablation_polynomials.py``):
+other (``benchmarks/bench_ablation_algorithms.py::test_ablation_polynomial_product``):
 
 * :func:`multiply_naive` / :func:`product_naive` — schoolbook
   multiplication, O(n^2) for a product of total degree n;

@@ -14,6 +14,12 @@ tuples that outscore the tuple of interest and ``y`` for the tuple
 itself — and the ``y`` degree never exceeds one, so polynomials are
 represented as a pair ``(A, B)`` of univariate coefficient arrays with
 ``F(x, y) = A(x) + B(x) * y``.
+
+:func:`positional_distribution` builds one tuple's labelling this way.
+:func:`positional_probabilities_tree` builds all ``n`` labellings in one
+post-order walk instead: every node carries stacked arrays ``(A, B)``
+holding every labelling's coefficients side by side, so the tree is
+walked once rather than once per tuple.
 """
 
 from __future__ import annotations
@@ -40,6 +46,11 @@ __all__ = [
 LABEL_X = "x"
 LABEL_Y = "y"
 LABEL_ONE = 1
+
+#: Bound on ``rows * limit`` of one stacked build in
+#: :func:`positional_probabilities_tree`: taller matrices are built in row
+#: chunks, so each stacked array holds at most this many elements.
+_STACK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -208,17 +219,118 @@ def positional_probabilities_tree(
     Returns ``(sorted_tuples, matrix)`` with
     ``matrix[i, j - 1] = Pr(r(sorted_tuples[i]) = j)``, mirroring
     :func:`repro.algorithms.independent.positional_probabilities`.
+
+    Row ``i`` is the labelling of :func:`positional_distribution` for
+    ``sorted_tuples[i]``; all rows are built in one stacked walk of the
+    tree (see :func:`_build_stacked`).  Every coefficient below
+    ``limit`` is summed from the same terms in the same order at any
+    ``max_rank``, so a column slice of a wide matrix is bit-identical to
+    a fresh narrow one.  Rows are built in chunks of at most
+    ``_STACK_ELEMENTS // limit``; rows never mix, so the chunking changes
+    no bit either.
     """
     ordered = tree.sorted_tuples()
     n = len(ordered)
     limit = n if max_rank is None else min(int(max_rank), n)
     matrix = np.zeros((n, limit), dtype=float)
-    labels: dict[Any, object] = {}
-    for i, t in enumerate(ordered):
-        labels[t.tid] = LABEL_Y
-        poly = generating_function(tree, labels, max_degree=max(limit - 1, 0))
-        coefficients = poly.x_coefficients_of_y()
-        upto = min(coefficients.size, limit)
-        matrix[i, :upto] = coefficients[:upto]
-        labels[t.tid] = LABEL_X
+    if limit == 0:
+        return ordered, matrix
+    position = {t.tid: i for i, t in enumerate(ordered)}
+    bounds: dict[int, int] = {}
+    _degree_bound(tree.root, bounds)
+    step = max(1, _STACK_ELEMENTS // limit)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        rows = np.arange(start, stop)
+        _, b = _build_stacked(tree.root, rows, position, bounds, limit)
+        matrix[start:stop, : b.shape[0]] = b.T
     return ordered, matrix
+
+
+def _degree_bound(node: Node, bounds: dict[int, int]) -> int:
+    """Untruncated ``x``-degree bound of every node, keyed by ``id(node)``.
+
+    A leaf has bound 1, an and node the sum of its children's bounds and
+    an xor node their maximum.  The bound fixes a node's stacked width
+    independently of the rows and of ``limit``.
+    """
+    if isinstance(node, LeafNode):
+        bound = 1
+    else:
+        child_bounds = [_degree_bound(child, bounds) for child in node.children_nodes()]
+        bound = max(child_bounds) if isinstance(node, XorNode) else sum(child_bounds)
+    bounds[id(node)] = bound
+    return bound
+
+
+def _build_stacked(
+    node: Node,
+    rows: np.ndarray,
+    position: Mapping[Any, int],
+    bounds: Mapping[int, int],
+    limit: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ``(A, B)`` of ``node`` for the labellings ``rows``.
+
+    Labelling ``rows[r]`` labels the leaves at sorted positions
+    ``< rows[r]`` ``x``, the leaf at ``rows[r]`` ``y`` and the rest ``1``.
+    Both arrays are coefficient-major, of shape
+    ``(min(limit, bound + 1), rows.size)``: column ``r`` holds labelling
+    ``rows[r]``'s coefficients, so every coefficient is one contiguous
+    row of the stack.
+    """
+    shape = (min(limit, bounds[id(node)] + 1), rows.size)
+    if isinstance(node, LeafNode):
+        at = position[node.tid]
+        a = np.zeros(shape, dtype=float)
+        b = np.zeros(shape, dtype=float)
+        a[0] = rows < at
+        if shape[0] > 1:
+            a[1] = rows > at
+        b[0] = rows == at
+        return a, b
+    if isinstance(node, XorNode):
+        a = np.zeros(shape, dtype=float)
+        b = np.zeros(shape, dtype=float)
+        a[0] = node.none_probability
+        for probability, child in node.children:
+            child_a, child_b = _build_stacked(child, rows, position, bounds, limit)
+            a[: child_a.shape[0]] += probability * child_a
+            b[: child_b.shape[0]] += probability * child_b
+        return a, b
+    assert isinstance(node, AndNode)
+    first, *rest = node.children
+    a, b = _build_stacked(first, rows, position, bounds, limit)
+    bound = bounds[id(first)]
+    for child in rest:
+        child_a, child_b = _build_stacked(child, rows, position, bounds, limit)
+        child_bound = bounds[id(child)]
+        # (a + b y)(a' + b' y) = a a' + (a b' + b a') y  [no y^2: one y leaf].
+        # The loop runs over the operand with the smaller untruncated bound,
+        # a choice ``limit`` cannot change.
+        if bound <= child_bound:
+            short_a, short_b, long_a, long_b = a, b, child_a, child_b
+        else:
+            short_a, short_b, long_a, long_b = child_a, child_b, a, b
+        bound += child_bound
+        shape = (min(limit, bound + 1), rows.size)
+        a = np.zeros(shape, dtype=float)
+        b = np.zeros(shape, dtype=float)
+        _add_product(a, short_a, long_a)
+        _add_product(b, short_a, long_b)
+        _add_product(b, short_b, long_a)
+    return a, b
+
+
+def _add_product(out: np.ndarray, short: np.ndarray, long: np.ndarray) -> None:
+    """``out += short * long`` per labelling, truncated to ``out``'s width.
+
+    A schoolbook product looping over ``short``'s coefficients, so each
+    output coefficient accumulates its terms in ascending index of
+    ``short`` whatever the truncation.
+    """
+    width = out.shape[0]
+    term = np.empty((min(long.shape[0], width), out.shape[1]), dtype=float)
+    for j in range(min(short.shape[0], width)):
+        span = min(long.shape[0], width - j)
+        out[j : j + span] += np.multiply(short[j], long[:span], out=term[:span])

@@ -4,7 +4,12 @@ Two evaluation strategies are provided:
 
 * :func:`prf_values_tree` — the general ``ANDXOR-PRF-RANK`` path: positional
   probabilities are obtained from the tree's generating function and
-  combined with the weight vector.  Cost grows with ``n * cost(F^i)``.
+  combined with the weight vector.  All ``n`` tuples' generating
+  functions are built in one stacked walk of the tree
+  (:func:`~repro.andxor.generating.positional_probabilities_tree`):
+  every numpy operation covers all ``n`` tuples, and an and node's
+  product takes one operation per coefficient of its lower-degree
+  operand, truncated at the horizon ``h``.
 * :func:`prfe_values_tree` — the incremental ``ANDXOR-PRFe-RANK`` algorithm
   (Algorithm 3): per inner node the numerical values ``F_v(alpha, alpha)``
   and ``F_v(alpha, 0)`` are maintained and only the two root-paths touched

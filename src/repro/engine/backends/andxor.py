@@ -10,11 +10,12 @@ Evaluation strategy per ranking-function spec (Sections 4.2/4.3):
 * LinearCombinationPRFe — one memoized Algorithm 3 pass per term,
   combined exactly as the legacy entry point does.
 * General weights — positional probabilities from the tree's generating
-  function, cached per tree and served to every horizon by slicing (the
-  truncated coefficients are bit-identical; see
+  functions, all tuples built in one stacked tree walk
+  (:func:`~repro.andxor.generating.positional_probabilities_tree`),
+  cached per tree and served to every horizon by slicing (the truncated
+  coefficients are bit-identical; see
   :meth:`~repro.engine.cache.CachedTree.positional_matrix`), then one
-  vectorized ``matrix @ weights`` pass.  Equal-size trees of a batch are
-  stacked and evaluated in a single batched matmul.
+  vectorized ``matrix @ weights`` pass per tree.
 
 All values are produced by the same :mod:`repro.andxor.ranking`
 evaluators as the legacy :func:`~repro.andxor.ranking.rank_tree`, so the
@@ -214,8 +215,10 @@ class AndXorBackend(RankingBackend):
         """Single-tuple rank distribution.
 
         Served from the cached positional matrix when one wide enough
-        exists; a cold cache runs the one-tuple generating function
-        (cheaper by a factor of ``n`` than filling the whole matrix).
+        exists; a cold cache runs the one-tuple generating function.  At
+        full width on Syn-XOR that measured ~2x cheaper than building
+        the whole matrix at ``n = 200`` and ~14x at ``n = 1000`` (2-core
+        x86).
         """
         entry = self.entry(tree)
         limit = self._clamped_limit(entry.n, max_rank)

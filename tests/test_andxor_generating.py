@@ -11,6 +11,7 @@ from repro.andxor.generating import (
     world_size_distribution,
 )
 from repro.core.possible_worlds import rank_distribution_by_enumeration
+from repro.datasets import syn_high, syn_low, syn_med, syn_xor
 from tests.conftest import random_small_tree
 
 
@@ -89,6 +90,23 @@ class TestPositionalDistribution:
         for i, t in enumerate(ordered):
             single = positional_distribution(figure1_tree, t.tid)
             assert np.allclose(matrix[i], single[1:])
+
+
+class TestStackedPositionalMatrix:
+    """The one-walk matrix at a size where summation order shows in the bits.
+
+    The n <= 10 property tests rarely sum enough terms per coefficient
+    for a changed order to move a bit; n = 60 trees do.
+    """
+
+    @pytest.mark.parametrize("family", [syn_xor, syn_low, syn_med, syn_high])
+    def test_narrowing_is_bit_identical(self, family):
+        for seed in range(3):
+            tree = family(60, rng=seed)
+            _, wide = positional_probabilities_tree(tree)
+            for width in (2, 3, 5, 8, 13, 21, 34):
+                _, narrow = positional_probabilities_tree(tree, max_rank=width)
+                assert np.array_equal(wide[:, :width], narrow), (seed, width)
 
 
 class TestGeneratingFunctionMechanics:

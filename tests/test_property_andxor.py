@@ -1,12 +1,20 @@
 """Property-based tests (hypothesis) for and/xor trees and their ranking algorithms."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro import AndNode, AndXorTree, LeafNode, Tuple, XorNode
-from repro.andxor.generating import positional_distribution, world_size_distribution
+from repro.andxor import generating
+from repro.andxor.generating import (
+    positional_distribution,
+    positional_probabilities_tree,
+    world_size_distribution,
+)
 from repro.andxor.ranking import prfe_values_tree, prfe_values_tree_recompute
 from repro.core.possible_worlds import prf_by_enumeration, rank_distribution_by_enumeration
+from repro.datasets import syn_high, syn_low, syn_med, syn_xor
 
 
 @st.composite
@@ -40,6 +48,32 @@ def small_trees(draw, max_leaves=7):
         else:
             nodes.append(AndNode(children))
     return AndXorTree(nodes[0])
+
+
+def _rescored(node, score):
+    """A copy of the subtree with every leaf score mapped through ``score``."""
+    if isinstance(node, LeafNode):
+        return LeafNode(Tuple(node.tid, score(node.item.score), 1.0))
+    if isinstance(node, XorNode):
+        return XorNode([(p, _rescored(child, score)) for p, child in node.children])
+    return AndNode([_rescored(child, score) for child in node.children])
+
+
+@st.composite
+def synthetic_trees(draw, max_leaves=10):
+    """Syn-XOR/LOW/MED/HIGH trees with up to ``max_leaves`` leaves, some with tied scores."""
+    family = draw(st.sampled_from([syn_xor, syn_low, syn_med, syn_high]))
+    num_leaves = draw(st.integers(min_value=1, max_value=max_leaves))
+    tree = family(num_leaves, rng=draw(st.integers(min_value=0, max_value=2**16)))
+    if draw(st.booleans()):
+        # Four score buckets over [0, 10000]: most leaves share a score.
+        tree = AndXorTree(_rescored(tree.root, lambda score: float(score // 2500)))
+    return tree
+
+
+#: Trees for the positional-matrix properties: n <= 10, tied scores and
+#: xor nodes whose edge probabilities sum to less than one.
+matrix_trees = st.one_of(small_trees(max_leaves=10), synthetic_trees())
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,3 +123,48 @@ def test_incremental_prfe_matches_enumeration_and_recompute(tree, alpha):
     for t, value in zip(ordered, incremental):
         exact = prf_by_enumeration(worlds, t.tid, lambda i: alpha ** i)
         assert abs(value - exact) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix_trees)
+def test_positional_matrix_matches_enumeration(tree):
+    n = len(tree)
+    worlds = tree.enumerate_worlds()
+    ordered = tree.sorted_tuples()
+    exact = np.array(
+        [rank_distribution_by_enumeration(worlds, t.tid, n)[1:] for t in ordered]
+    ).reshape(n, n)
+    for max_rank in [*range(n + 1), n + 3, None]:
+        rows, matrix = positional_probabilities_tree(tree, max_rank=max_rank)
+        width = n if max_rank is None else min(max_rank, n)
+        assert [t.tid for t in rows] == [t.tid for t in ordered]
+        assert matrix.shape == (n, width)
+        assert np.allclose(matrix, exact[:, :width], rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix_trees)
+def test_positional_matrix_narrowing_is_bit_identical(tree):
+    _, wide = positional_probabilities_tree(tree)
+    for width in range(len(tree) + 1):
+        _, fresh = positional_probabilities_tree(tree, max_rank=width)
+        assert np.array_equal(wide[:, :width], fresh)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix_trees, st.sampled_from([1, 2, None]))
+def test_positional_matrix_row_chunks_change_no_bit(tree, max_rank):
+    _, whole = positional_probabilities_tree(tree, max_rank=max_rank)
+    for elements in (1, 2):
+        with mock.patch.object(generating, "_STACK_ELEMENTS", elements):
+            _, chunked = positional_probabilities_tree(tree, max_rank=max_rank)
+        assert np.array_equal(chunked, whole)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix_trees)
+def test_positional_matrix_rows_match_single_tuple_builds(tree):
+    ordered, matrix = positional_probabilities_tree(tree)
+    for row, t in zip(matrix, ordered):
+        single = positional_distribution(tree, t.tid)
+        assert np.allclose(row, single[1:], rtol=0.0, atol=1e-12)
