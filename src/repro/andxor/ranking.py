@@ -249,10 +249,9 @@ def _prfe_steps(tree: AndXorTree, ordered: list[Tuple], alpha_value, dtype):
     ]
 
     # Initial pass: every leaf carries the constant label 1 (value 1 at both
-    # evaluation points); aggregate bottom-up in reverse construction order
-    # (children always have larger indices than their parent... actually the
-    # construction is pre-order, so children have *larger* indices; iterating
-    # indices in decreasing order therefore visits children before parents).
+    # evaluation points).  Nodes are indexed in pre-order, so children have
+    # larger indices than their parent and a decreasing-index sweep visits
+    # children before parents.
     for index in range(num_nodes - 1, -1, -1):
         kind = indexed.kinds[index]
         if kind == _IndexedTree.KIND_LEAF:

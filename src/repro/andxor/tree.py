@@ -47,8 +47,6 @@ class Node:
 
     def iter_leaves(self) -> Iterator["LeafNode"]:
         """Yield the leaves of the subtree rooted at this node, in document order."""
-        stack: list[Node] = [self]
-        # Depth-first, preserving left-to-right order.
         ordered: list[LeafNode] = []
         self._collect_leaves(ordered)
         yield from ordered

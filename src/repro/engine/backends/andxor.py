@@ -14,17 +14,17 @@ Evaluation strategy per ranking-function spec (Sections 4.2/4.3):
   (:func:`~repro.andxor.generating.positional_probabilities_tree`),
   cached per tree and served to every horizon by slicing (the truncated
   coefficients are bit-identical; see
-  :meth:`~repro.engine.cache.CachedTree.positional_matrix`), then one
-  vectorized ``matrix @ weights`` pass per tree.
+  :class:`~repro.engine.cache.CachedTree`), then one vectorized
+  ``matrix @ weights`` pass per tree.
 
-All values are produced by the same :mod:`repro.andxor.ranking`
+The cache entry refers to no tree: content-equal trees share it, every
+evaluator runs on the caller's tree, and results carry the caller's leaf
+tuples.  All values are produced by the same :mod:`repro.andxor.ranking`
 evaluators as the legacy :func:`~repro.andxor.ranking.rank_tree`, so the
 rankings are bit-identical.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -32,22 +32,14 @@ from ...andxor.ranking import prf_values_tree, prfe_topk_values_tree, prfe_value
 from ...andxor.tree import AndXorTree
 from ...core.prf import LinearCombinationPRFe, PRFe, RankingFunction
 from ...core.result import RankingResult
-from ...core.tuples import Tuple
 from ..cache import CachedTree
-from ..topk import (
-    BOUND_SAFETY,
-    TopKReport,
-    certified,
-    prefix_top_k,
-    prunable,
-    validated_k,
-)
-from .base import RankingBackend, build_result, distribution_row
+from ..topk import BOUND_SAFETY, TopKReport, certified, prunable, validated_k
+from .base import CorrelatedBackend, build_result
 
 __all__ = ["AndXorBackend"]
 
 
-class AndXorBackend(RankingBackend):
+class AndXorBackend(CorrelatedBackend):
     """Cached, batched ranking over probabilistic and/xor trees."""
 
     model = "andxor"
@@ -64,51 +56,13 @@ class AndXorBackend(RankingBackend):
             return "andxor-prfe-combination (L x Algorithm 3)"
         return "andxor-generating-function (Theorem 1)"
 
+    @staticmethod
+    def _tuples(tree: AndXorTree):
+        return tree.tuples()
+
     # ------------------------------------------------------------------
     # Ranking
     # ------------------------------------------------------------------
-    def rank(self, tree: AndXorTree, rf: RankingFunction, name: str = "") -> RankingResult:
-        """Rank one tree — the drop-in replacement for ``rank_tree``."""
-        entry = self.entry(tree)
-        result = self._rank_entry(entry, rf, name or tree.name)
-        self.cache.enforce_budget()
-        return result
-
-    def rank_many(
-        self, tree: AndXorTree, rfs: Sequence[RankingFunction], name: str = ""
-    ) -> list[RankingResult]:
-        """Rank one tree under many specs, sharing its cached intermediates."""
-        rfs = list(rfs)
-        if not rfs:
-            return []
-        entry = self.entry(tree)
-        label = name or tree.name
-        results = [self._rank_entry(entry, rf, label) for rf in rfs]
-        self.cache.enforce_budget()
-        return results
-
-    def rank_batch(
-        self, trees: Sequence[AndXorTree], rf: RankingFunction, store: bool = True
-    ) -> list[RankingResult]:
-        """Rank a batch of trees against the shared cache.
-
-        Each tree's generating-function structure is its own; the batch
-        shares the cache (memoized Algorithm 3 values, positional
-        matrices) rather than a stacked kernel — stacking the per-tree
-        ``matrix @ weights`` passes into one 3-D matmul perturbs the last
-        ulp, which would break the bitwise contract with ``rank_tree``.
-        Each result is built immediately after its entry lookup: a batch
-        holding content-equal distinct trees rebinds the shared entry's
-        tuples per tree, so deferring would alias one tree's result to
-        another tree's Tuple objects.
-        """
-        results = []
-        for tree in trees:
-            entry = self.entry(tree, store=store)
-            results.append(build_result(entry, self._values(entry, rf), tree.name))
-        self.cache.enforce_budget()
-        return results
-
     def rank_top_k(
         self, tree: AndXorTree, rf: RankingFunction, k: int, name: str = "", store: bool = True
     ) -> tuple[RankingResult, TopKReport]:
@@ -125,12 +79,13 @@ class AndXorBackend(RankingBackend):
         """
         k = validated_k(k)
         entry = self.entry(tree, store=store)
+        tuples = tree.tuples()
         label = name or tree.name
         n = entry.n
         if not prunable(rf) or k >= n:
-            result = build_result(entry, self._values(entry, rf), label)
+            result = build_result(tuples, entry, self._values(tree, entry, rf), label, k)
             self.cache.enforce_budget()
-            return result[:k], TopKReport(k=k, n=n, examined=n, pruned=False)
+            return result, TopKReport(k=k, n=n, examined=n, pruned=False)
         if k == 0:
             return RankingResult([], name=label), TopKReport(
                 k=0, n=n, examined=0, pruned=n > 0
@@ -138,9 +93,9 @@ class AndXorBackend(RankingBackend):
         alpha = complex(rf.alpha)
         full = entry.extras.get(("prfe", alpha))
         if full is not None:
-            result = build_result(entry, full, label)
+            result = build_result(tuples, entry, full, label, k)
             self.cache.enforce_budget()
-            return result[:k], TopKReport(k=k, n=n, examined=n, pruned=False)
+            return result, TopKReport(k=k, n=n, examined=n, pruned=False)
         memo_key = ("topk", alpha)
         memo = entry.extras.get(memo_key)
         values = None
@@ -152,7 +107,7 @@ class AndXorBackend(RankingBackend):
                 values, examined = cached_values, cached_examined
         if values is None:
             _, values, examined, bound = prfe_topk_values_tree(
-                entry.tree, float(rf.alpha), k, safety=BOUND_SAFETY
+                tree, float(rf.alpha), k, safety=BOUND_SAFETY
             )
             if store and (memo is None or examined > memo[1]):
                 entry.extras[memo_key] = (values, examined, bound)
@@ -160,71 +115,51 @@ class AndXorBackend(RankingBackend):
                 # A prefix that ran to the end is the full Algorithm 3
                 # vector — promote it so future full rankings skip the walk.
                 entry.extras[("prfe", alpha)] = values
-        result = prefix_top_k(entry, values, k, label)
+        result = build_result(tuples, entry, values, label, k)
         self.cache.enforce_budget()
         return result, TopKReport(k=k, n=n, examined=examined, pruned=examined < n)
 
-    def _rank_entry(self, entry: CachedTree, rf: RankingFunction, name: str) -> RankingResult:
-        return build_result(entry, self._values(entry, rf), name)
-
-    def _values(self, entry: CachedTree, rf: RankingFunction) -> np.ndarray:
+    def _values(self, tree: AndXorTree, entry: CachedTree, rf: RankingFunction) -> np.ndarray:
         if isinstance(rf, PRFe):
-            return self._prfe_values(entry, rf.alpha)
+            return self._prfe_values(tree, entry, rf.alpha)
         if isinstance(rf, LinearCombinationPRFe):
             # Same term-by-term accumulation as the legacy rank_tree path,
             # with each per-alpha Algorithm 3 pass memoized.
             total = np.zeros(entry.n, dtype=complex)
             for coefficient, alpha in rf.terms():
-                values = self._prfe_values(entry, alpha)
+                values = self._prfe_values(tree, entry, alpha)
                 total = total + coefficient * values.astype(complex)
             return total
         limit = self._clamped_limit(entry.n, rf.weight.horizon)
-        matrix = entry.positional_matrix(limit)
-        _, values = prf_values_tree(entry.tree, rf, positional=(entry.ordered, matrix))
+        matrix = entry.positional_matrix(tree, limit)
+        ordered = entry.sorted_tuples(tree.tuples())
+        _, values = prf_values_tree(tree, rf, positional=(ordered, matrix))
         return values
 
-    def _prfe_values(self, entry: CachedTree, alpha: complex) -> np.ndarray:
+    @staticmethod
+    def _prfe_values(tree: AndXorTree, entry: CachedTree, alpha: complex) -> np.ndarray:
         """Algorithm 3 values, memoized per alpha on the cache entry."""
         key = ("prfe", complex(alpha))
         values = entry.extras.get(key)
         if values is None:
-            _, values = prfe_values_tree(entry.tree, alpha)
+            _, values = prfe_values_tree(tree, alpha)
             entry.extras[key] = values
         return values
 
     # ------------------------------------------------------------------
     # Derived queries
     # ------------------------------------------------------------------
-    def positional_matrix(
-        self, tree: AndXorTree, max_rank: int | None = None
-    ) -> tuple[list[Tuple], np.ndarray]:
-        """Cached positional probabilities of the tree (fresh-matrix contract)."""
-        entry = self.entry(tree)
-        limit = self._clamped_limit(entry.n, max_rank)
-        matrix = entry.positional_matrix(limit)
-        self.cache.enforce_budget()
-        # Copy: the legacy path returned a fresh matrix per call, and a
-        # caller mutating a view would silently corrupt the cache.
-        return list(entry.ordered), matrix.copy()
-
     def marginal_probabilities(self, tree: AndXorTree) -> dict:
         """Marginal existence probability per leaf tuple identifier."""
         return tree.marginal_probabilities()
 
-    def rank_distribution(self, tree: AndXorTree, tid, max_rank: int | None = None) -> np.ndarray:
-        """Single-tuple rank distribution.
+    def _cold_distribution(self, tree: AndXorTree, entry, tid, max_rank) -> np.ndarray:
+        """The one-tuple generating function.
 
-        Served from the cached positional matrix when one wide enough
-        exists; a cold cache runs the one-tuple generating function.  At
-        full width on Syn-XOR that measured ~2x cheaper than building
+        At full width on Syn-XOR that measured ~2x cheaper than building
         the whole matrix at ``n = 200`` and ~14x at ``n = 1000`` (2-core
         x86).
         """
-        entry = self.entry(tree)
-        limit = self._clamped_limit(entry.n, max_rank)
-        positional = entry.positional
-        if positional is not None and positional.shape[1] >= limit:
-            return distribution_row(entry.ordered, positional, tid, limit)
         from ...andxor.generating import positional_distribution
 
         return positional_distribution(tree, tid, max_rank=max_rank)

@@ -23,12 +23,12 @@ import numpy as np
 from ...core.prf import RankingFunction
 from ...core.result import RankingResult
 from ...core.tuples import Tuple
-from ..topk import TopKReport, ranked_result, ranking_order, sort_columns, validated_k
+from ..topk import TopKReport, ranked_result, ranking_order, validated_k
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..facade import Engine
 
-__all__ = ["RankingBackend", "build_result", "distribution_row"]
+__all__ = ["RankingBackend", "CorrelatedBackend", "build_result", "distribution_row"]
 
 
 def distribution_row(
@@ -44,29 +44,26 @@ def distribution_row(
 
 
 def build_result(
-    entry,
-    values: np.ndarray,
-    name: str,
-    sort_keys: np.ndarray | None = None,
+    tuples: Sequence[Tuple], entry, values: np.ndarray, name: str, k: int | None = None
 ) -> RankingResult:
-    """Vectorized :meth:`RankingResult.from_values` over a tree or network entry.
+    """The ranking of a tree's or network's ``tuples`` from values over a sorted prefix.
 
-    Replaces the Python comparison sort with
-    :func:`~repro.engine.topk.ranking_order` over the same
-    ``(-key, -score, str(tid))`` triple — both sorts are stable and
-    compare floats and strings identically, so the resulting order is
-    the same; only the constant factor changes.  The score and tid
-    columns are cached on the entry.  Independent relations build their
-    results from the caller's relation instead (see
-    :mod:`repro.engine.backends.independent`).
+    ``values`` cover the first ``m`` tuples of the entry's score-descending
+    ``order``.  Without ``k`` they cover every tuple and the whole ranking
+    is built; with ``k`` only the best ``k`` items are, which for an
+    early-terminated prefix are the first ``k`` items of the full ranking
+    (the bound puts every unexamined tuple strictly below the k-th
+    examined key).  :func:`~repro.engine.topk.ranking_order` sorts by the
+    ``(-|value|, -score, str(tid))`` triple of
+    :meth:`RankingResult.from_values`, and the items are the caller's
+    ``tuples``.
     """
-    ordered = entry.ordered
-    if not ordered:
-        return RankingResult([], name=name)
     values = np.asarray(values)
-    scores, tids = sort_columns(entry)
-    order = ranking_order(values, scores, lambda: tids, sort_keys)
-    return ranked_result([ordered[i] for i in order.tolist()], values[order], name)
+    m = values.shape[0]
+    order = ranking_order(
+        values, entry.scores[:m], lambda: entry.tid_strings(tuples)[:m]
+    )[:k]
+    return ranked_result([tuples[i] for i in entry.order[order].tolist()], values[order], name)
 
 
 class RankingBackend(ABC):
@@ -154,9 +151,9 @@ class RankingBackend(ABC):
     def marginal_probabilities(self, data) -> dict[Any, float]:
         """Marginal existence probability per tuple identifier."""
 
+    @abstractmethod
     def sorted_tuples(self, data) -> list[Tuple]:
-        """Score-descending tuples (cached order, caller's tuple objects)."""
-        return list(self.entry(data).ordered)
+        """Score-descending tuples (cached order, the caller's tuple objects)."""
 
     def rank_distribution(self, data, tid: Any, max_rank: int | None = None) -> np.ndarray:
         """Rank distribution ``Pr(r(t) = j)`` of one tuple (index 0 unused).
@@ -171,3 +168,94 @@ class RankingBackend(ABC):
     def _clamped_limit(n: int, max_rank: int | None) -> int:
         """``max_rank`` (or a weight horizon) clamped into ``[0, n]``."""
         return n if max_rank is None else min(int(max_rank), n)
+
+
+class CorrelatedBackend(RankingBackend):
+    """The paths the and/xor and Markov backends share.
+
+    Their cache entries hold content only (see
+    :class:`~repro.engine.cache.CachedTree`): values are computed on the
+    caller's dataset and every result carries the caller's tuples,
+    gathered through the entry's score-descending ``order``.
+    """
+
+    @staticmethod
+    @abstractmethod
+    def _tuples(data) -> Sequence[Tuple]:
+        """The dataset's tuples, in the sequence its entry's ``order`` indexes."""
+
+    @abstractmethod
+    def _values(self, data, entry, rf: RankingFunction) -> np.ndarray:
+        """The value of every tuple of ``data`` under ``rf``, score-descending."""
+
+    @abstractmethod
+    def _cold_distribution(self, data, entry, tid: Any, max_rank: int | None) -> np.ndarray:
+        """One tuple's rank distribution without a cached positional matrix."""
+
+    def rank(self, data, rf: RankingFunction, name: str = "") -> RankingResult:
+        """Rank one dataset (bit-identical to the model's legacy entry point)."""
+        return self.rank_many(data, [rf], name=name)[0]
+
+    def rank_many(
+        self, data, rfs: Sequence[RankingFunction], name: str = ""
+    ) -> list[RankingResult]:
+        """Rank one dataset under many specs, sharing its cached intermediates."""
+        rfs = list(rfs)
+        if not rfs:
+            return []
+        entry = self.entry(data)
+        tuples = self._tuples(data)
+        label = name or data.name
+        results = [build_result(tuples, entry, self._values(data, entry, rf), label) for rf in rfs]
+        self.cache.enforce_budget()
+        return results
+
+    def rank_batch(
+        self, datasets: Sequence, rf: RankingFunction, store: bool = True
+    ) -> list[RankingResult]:
+        """Rank a batch of datasets against the shared cache.
+
+        Each dataset's correlation structure is its own; the batch shares
+        the cache (memoized values, positional matrices) rather than a
+        stacked kernel — stacking the per-dataset ``matrix @ weights``
+        passes into one 3-D matmul perturbs the last ulp, which would
+        break the bitwise contract with the legacy entry points.
+        """
+        results = []
+        for data in datasets:
+            entry = self.entry(data, store=store)
+            values = self._values(data, entry, rf)
+            results.append(build_result(self._tuples(data), entry, values, data.name))
+        self.cache.enforce_budget()
+        return results
+
+    def positional_matrix(
+        self, data, max_rank: int | None = None
+    ) -> tuple[list[Tuple], np.ndarray]:
+        """Cached positional probabilities (fresh-matrix contract)."""
+        entry = self.entry(data)
+        matrix = entry.positional_matrix(data, self._clamped_limit(entry.n, max_rank))
+        self.cache.enforce_budget()
+        # Copy: the legacy path returned a fresh matrix per call, and a
+        # caller mutating a view would silently corrupt the cache.
+        return entry.sorted_tuples(self._tuples(data)), matrix.copy()
+
+    def sorted_tuples(self, data) -> list[Tuple]:
+        """Score-descending tuples (cached order, the caller's tuple objects)."""
+        return self.entry(data).sorted_tuples(self._tuples(data))
+
+    def rank_distribution(self, data, tid: Any, max_rank: int | None = None) -> np.ndarray:
+        """Single-tuple rank distribution.
+
+        Served from the cached positional matrix when one wide enough
+        exists; otherwise the model's one-tuple computation runs.
+        """
+        entry = self.entry(data)
+        limit = self._clamped_limit(entry.n, max_rank)
+        positional = entry.positional
+        if positional is not None and positional.shape[1] >= limit:
+            ordered = entry.sorted_tuples(self._tuples(data))
+            return distribution_row(ordered, positional, tid, limit)
+        distribution = self._cold_distribution(data, entry, tid, max_rank)
+        self.cache.enforce_budget()
+        return distribution

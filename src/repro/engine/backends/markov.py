@@ -10,29 +10,30 @@ messages, which each per-tuple calibration reuses for every edge whose
 source side holds no evidence.  The backend caches on the network's
 fingerprint entry:
 
-* the junction tree (built once per network content, not per object),
+* the junction tree (built with the entry, once per network content),
 * the evidence-free calibration, whose memoized clique marginals serve
   every ``Pr(X_t = 1)`` lookup and the top-k prefix-count DP, and
 * the positional-probability matrix.  The DP is limit-independent —
   ``max_rank`` only truncates the stored columns — so a cached wide
   matrix serves every narrower horizon by slicing, bit-identically.
 
-Values are produced by the same :mod:`repro.graphical.ranking`
-evaluators as the legacy :func:`~repro.graphical.ranking.
-rank_markov_network`, so the rankings are bit-identical.
+The cache entry refers to no network: content-equal networks share it,
+every evaluator runs on the caller's network, and results carry the
+caller's tuples.  Values are produced by the same
+:mod:`repro.graphical.ranking` evaluators as the legacy
+:func:`~repro.graphical.ranking.rank_markov_network`, so the rankings are
+bit-identical.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Sequence
 
 import numpy as np
 
 from ...core.prf import RankingFunction
 from ...core.result import RankingResult
-from ...core.tuples import Tuple
 from ...graphical.model import MarkovNetworkRelation
 from ...graphical.ranking import (
     prefix_count_distribution,
@@ -40,20 +41,13 @@ from ...graphical.ranking import (
     rank_distribution_markov,
 )
 from ..cache import CachedNetwork
-from ..topk import (
-    BOUND_SAFETY,
-    TopKReport,
-    certified,
-    prefix_top_k,
-    prunable,
-    validated_k,
-)
-from .base import RankingBackend, build_result, distribution_row
+from ..topk import BOUND_SAFETY, TopKReport, certified, prunable, validated_k
+from .base import CorrelatedBackend, build_result
 
 __all__ = ["MarkovBackend"]
 
 
-class MarkovBackend(RankingBackend):
+class MarkovBackend(CorrelatedBackend):
     """Cached junction-tree ranking over Markov-network relations."""
 
     model = "markov"
@@ -66,42 +60,13 @@ class MarkovBackend(RankingBackend):
         """Label of the algorithm executing every spec on networks."""
         return "markov-junction-tree-dp (Section 9.4)"
 
+    @staticmethod
+    def _tuples(model: MarkovNetworkRelation):
+        return model.tuples
+
     # ------------------------------------------------------------------
     # Ranking
     # ------------------------------------------------------------------
-    def rank(
-        self, model: MarkovNetworkRelation, rf: RankingFunction, name: str = ""
-    ) -> RankingResult:
-        """Rank one network — the drop-in replacement for ``rank_markov_network``."""
-        entry = self.entry(model)
-        result = self._rank_entry(entry, rf, name or model.name)
-        self.cache.enforce_budget()
-        return result
-
-    def rank_many(
-        self, model: MarkovNetworkRelation, rfs: Sequence[RankingFunction], name: str = ""
-    ) -> list[RankingResult]:
-        """Rank one network under many specs, sharing its cached junction tree."""
-        rfs = list(rfs)
-        if not rfs:
-            return []
-        entry = self.entry(model)
-        label = name or model.name
-        results = [self._rank_entry(entry, rf, label) for rf in rfs]
-        self.cache.enforce_budget()
-        return results
-
-    def rank_batch(
-        self, models: Sequence[MarkovNetworkRelation], rf: RankingFunction, store: bool = True
-    ) -> list[RankingResult]:
-        """Rank a batch of networks against the shared cache."""
-        results = [
-            self._rank_entry(self.entry(model, store=store), rf, model.name)
-            for model in models
-        ]
-        self.cache.enforce_budget()
-        return results
-
     def rank_top_k(
         self,
         model: MarkovNetworkRelation,
@@ -127,15 +92,16 @@ class MarkovBackend(RankingBackend):
         """
         k = validated_k(k)
         entry = self.entry(model, store=store)
+        tuples = model.tuples
         label = name or model.name
         n = entry.n
         limit = self._clamped_limit(n, rf.weight.horizon)
         positional = entry.positional
         matrix_cached = positional is not None and positional.shape[1] >= limit
         if not prunable(rf) or k >= n or matrix_cached:
-            result = self._rank_entry(entry, rf, label)
+            result = build_result(tuples, entry, self._values(model, entry, rf), label, k)
             self.cache.enforce_budget()
-            return result[:k], TopKReport(k=k, n=n, examined=n, pruned=False)
+            return result, TopKReport(k=k, n=n, examined=n, pruned=False)
         if k == 0:
             return RankingResult([], name=label), TopKReport(
                 k=0, n=n, examined=0, pruned=n > 0
@@ -148,35 +114,35 @@ class MarkovBackend(RankingBackend):
             if cached_examined >= n or certified(
                 np.abs(cached_values), k, cached_bound
             ):
-                result = prefix_top_k(entry, cached_values, k, label)
+                result = build_result(tuples, entry, cached_values, label, k)
                 return result, TopKReport(
                     k=k, n=n, examined=cached_examined, pruned=cached_examined < n
                 )
-        values, examined, bound = self._streamed_topk_values(entry, rf, k)
+        values, examined, bound = self._streamed_topk_values(model, entry, rf, k)
         if store and (memo is None or examined > memo[1]):
             entry.extras[memo_key] = (values, examined, bound)
-        result = prefix_top_k(entry, values, k, label)
+        result = build_result(tuples, entry, values, label, k)
         self.cache.enforce_budget()
         return result, TopKReport(k=k, n=n, examined=examined, pruned=examined < n)
 
     def _streamed_topk_values(
-        self, entry: CachedNetwork, rf: RankingFunction, k: int
+        self, model: MarkovNetworkRelation, entry: CachedNetwork, rf: RankingFunction, k: int
     ) -> tuple[np.ndarray, int, float]:
         """Score-order streamed PRFe values until the decay bound certifies ``k``."""
         n = entry.n
         limit = self._clamped_limit(n, rf.weight.horizon)
         alpha = float(rf.alpha)
-        tree = entry.junction_tree()
+        tree = entry.junction
         base = entry.calibrated()
         weights = rf.weight.as_array(limit)[1:].astype(float)
-        ordered = entry.ordered
+        ordered = entry.sorted_tuples(model.tuples)
         values = np.zeros(n, dtype=float)
         best: list[float] = []
         examined = 0
         bound = math.inf
         for i, t in enumerate(ordered):
             row = rank_distribution_markov(
-                entry.model, t.tid, max_rank=limit, tree=tree, base=base
+                model, t.tid, max_rank=limit, tree=tree, base=base
             )[1:]
             values[i] = float(row @ weights)
             examined = i + 1
@@ -187,7 +153,7 @@ class MarkovBackend(RankingBackend):
                 heapq.heapreplace(best, magnitude)
             if len(best) == k and examined < n:
                 counts = prefix_count_distribution(
-                    entry.model,
+                    model,
                     [u.tid for u in ordered[:examined]],
                     tree=tree,
                     base=base,
@@ -198,55 +164,32 @@ class MarkovBackend(RankingBackend):
                     break
         return values[:examined], examined, bound
 
-    def _rank_entry(self, entry: CachedNetwork, rf: RankingFunction, name: str) -> RankingResult:
+    def _values(
+        self, model: MarkovNetworkRelation, entry: CachedNetwork, rf: RankingFunction
+    ) -> np.ndarray:
         limit = self._clamped_limit(entry.n, rf.weight.horizon)
-        matrix = entry.positional_matrix(limit)
-        _, values = prf_values_markov(entry.model, rf, positional=(entry.ordered, matrix))
-        return build_result(entry, values, name)
+        matrix = entry.positional_matrix(model, limit)
+        ordered = entry.sorted_tuples(model.tuples)
+        _, values = prf_values_markov(model, rf, positional=(ordered, matrix))
+        return values
 
     # ------------------------------------------------------------------
     # Derived queries
     # ------------------------------------------------------------------
-    def positional_matrix(
-        self, model: MarkovNetworkRelation, max_rank: int | None = None
-    ) -> tuple[list[Tuple], np.ndarray]:
-        """Cached positional probabilities of the network (fresh-matrix contract)."""
-        entry = self.entry(model)
-        limit = self._clamped_limit(entry.n, max_rank)
-        matrix = entry.positional_matrix(limit)
-        self.cache.enforce_budget()
-        # Copy: the legacy path returned a fresh matrix per call, and a
-        # caller mutating a view would silently corrupt the cache.
-        return list(entry.ordered), matrix.copy()
-
     def marginal_probabilities(self, model: MarkovNetworkRelation) -> dict:
         """Marginals ``Pr(X_t = 1)`` from the shared evidence-free calibration."""
         entry = self.entry(model)
         base = entry.calibrated()
-        marginals = {t.tid: base.variable_marginal(t.tid) for t in entry.ordered}
+        marginals = {
+            t.tid: base.variable_marginal(t.tid) for t in entry.sorted_tuples(model.tuples)
+        }
         self.cache.enforce_budget()
         return marginals
 
-    def rank_distribution(
-        self, model: MarkovNetworkRelation, tid, max_rank: int | None = None
+    def _cold_distribution(
+        self, model: MarkovNetworkRelation, entry: CachedNetwork, tid, max_rank
     ) -> np.ndarray:
-        """Single-tuple rank distribution.
-
-        Served from the cached positional matrix when one wide enough
-        exists; a cold cache runs the one-tuple DP against the cached
-        junction tree and base calibration.
-        """
-        entry = self.entry(model)
-        limit = self._clamped_limit(entry.n, max_rank)
-        positional = entry.positional
-        if positional is not None and positional.shape[1] >= limit:
-            return distribution_row(entry.ordered, positional, tid, limit)
-        distribution = rank_distribution_markov(
-            entry.model,
-            tid,
-            max_rank=max_rank,
-            tree=entry.junction_tree(),
-            base=entry.calibrated(),
+        """The one-tuple DP against the cached junction tree and base calibration."""
+        return rank_distribution_markov(
+            model, tid, max_rank=max_rank, tree=entry.junction, base=entry.calibrated()
         )
-        self.cache.enforce_budget()
-        return distribution

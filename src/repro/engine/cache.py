@@ -13,22 +13,21 @@ entry type exists per correlation model:
   :func:`repro.algorithms.independent.prefix_polynomial_matrix` (the
   O(n * max_rank) hot intermediate behind positional probabilities,
   PT(h), U-Rank and every general-weight PRF evaluation) and memoized
-  values.  It holds no relation and no ``Tuple`` objects: content-equal
-  relations share it, and every result is built from the caller's own
-  relation, so a hit never repoints anything.
-* :class:`CachedTree` (and/xor correlations): the sorted leaf order, the
-  positional-probability matrix obtained from the tree's generating
-  functions, and memoized PRFe value vectors of the incremental
-  Algorithm 3 (keyed by ``alpha``).
-* :class:`CachedNetwork` (Markov networks): the sorted tuple order, the
-  junction tree, the evidence-free calibration (its messages are reused
-  by every per-tuple evidence calibration, its memoized clique marginals
-  by every ``Pr(X_t = 1)`` lookup) and the junction-tree-DP positional
-  matrix.
+  values.
+* :class:`CachedTree` (and/xor correlations): the score-descending
+  order and scores, the positional-probability matrix obtained from the
+  tree's generating functions, and memoized PRFe value vectors of the
+  incremental Algorithm 3 (keyed by ``alpha``).
+* :class:`CachedNetwork` (Markov networks): the score-descending order
+  and scores, the junction tree, the evidence-free calibration (its
+  messages are reused by every per-tuple evidence calibration, its
+  memoized clique marginals by every ``Pr(X_t = 1)`` lookup) and the
+  junction-tree-DP positional matrix.
 
-The tree and network entries keep the sorted ``Tuple`` list of the
-dataset that last looked them up: a hit from a content-equal but
-distinct dataset rebinds it to that dataset's own tuples.
+No entry refers to a dataset or holds a ``Tuple``: an entry's order
+indexes the dataset's tuple sequence, methods that need the correlation
+structure take the caller's dataset, and results carry the caller's own
+tuples.  A hit therefore never writes to the entry it returns.
 
 The cache is a bounded LRU with an element budget: array payloads are
 evicted least-recently-used once the total number of cached float64
@@ -43,10 +42,10 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import weakref
+from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -223,7 +222,7 @@ def _extras_bytes(extras: dict) -> int:
 
 
 def _drop_array_extras(extras: dict) -> None:
-    """Remove the array payloads (memoized values, sort columns) in place."""
+    """Remove the array payloads (memoized values, tid strings) in place."""
     for key in [
         key
         for key, value in extras.items()
@@ -340,37 +339,47 @@ class CachedRelation:
 
 
 @dataclass
-class CachedTree:
-    """The cached intermediates of one and/xor tree.
+class _CorrelatedEntry(ABC):
+    """What the and/xor and Markov entries share: content-derived only.
 
-    The tree itself is held strongly: unlike the independent case (where
-    the probability vector suffices), recomputing or widening any
-    intermediate needs the full correlation structure.  The Python-object
-    cost of the retained nodes is bounded by ``max_relations``, like the
-    retained ``Tuple`` lists.
+    ``order`` holds positions into the dataset's tuple sequence (a tree's
+    ``tuples()``, a network's ``tuples``) in score-descending order, which
+    content-equal datasets share.  Methods that need the correlation
+    structure take the caller's dataset as an argument, and results are
+    built from the caller's tuples through ``order``.
     """
 
-    ordered: list[Tuple]
-    tree: "AndXorTree" = field(repr=False, default=None)
+    order: np.ndarray  # tuple positions in score-descending order
+    scores: np.ndarray  # score-descending order
     positional: np.ndarray | None = None  # (n, limit_computed) or None
     extras: dict[Any, Any] = field(default_factory=dict)
-    source: weakref.ref | None = field(default=None, repr=False)
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    @classmethod
+    def of(cls, tuples: Sequence[Tuple], **fields: Any):
+        """An entry over ``tuples``: a stable descending-score argsort.
+
+        Scores are validated finite, so this is the order of the datasets'
+        ``sorted_tuples()`` (descending score, ties in tuple order).
+        """
+        scores = np.array([t.score for t in tuples], dtype=float)
+        order = np.argsort(-scores, kind="stable")
+        return cls(order=order, scores=scores[order], **fields)
 
     @property
     def n(self) -> int:
-        """Number of leaf tuples in the cached tree."""
-        return len(self.ordered)
+        """Number of tuples in the cached dataset."""
+        return self.order.size
 
     def elements(self) -> int:
         """Cached size in float64-equivalent elements (for the eviction budget)."""
-        total_bytes = _extras_bytes(self.extras)
+        total_bytes = self.order.nbytes + self.scores.nbytes + _extras_bytes(self.extras)
         if self.positional is not None:
             total_bytes += self.positional.nbytes
         return total_bytes // 8
 
     def shed(self) -> None:
-        """Drop the heavy arrays, keeping the cheap sorted order (see eviction).
+        """Drop the heavy arrays, keeping the sorted order (see eviction).
 
         Locked for the same reason as :meth:`CachedRelation.shed`.
         """
@@ -378,84 +387,93 @@ class CachedTree:
             self.positional = None
             _drop_array_extras(self.extras)
 
-    def positional_matrix(self, limit: int) -> np.ndarray:
-        """``Pr(r(t_i) = j)`` from the tree's generating functions.
+    def sorted_tuples(self, tuples: Sequence[Tuple]) -> list[Tuple]:
+        """The caller's ``tuples`` in score-descending order."""
+        return [tuples[i] for i in self.order.tolist()]
 
-        Narrower requests are served by slicing the cached matrix: the
-        generating-function coefficients of degree ``< limit`` are sums of
-        exactly the products that a narrower truncation computes, so the
-        slice is bit-identical to a fresh narrow computation.
+    def tid_strings(self, tuples: Sequence[Tuple]) -> np.ndarray:
+        """``str(tid)`` in score-descending order, built from the caller's tuples once."""
+        tids = self.extras.get("sort_tids")
+        if tids is None:
+            tids = np.array([str(t.tid) for t in self.sorted_tuples(tuples)])
+            self.extras["sort_tids"] = tids
+        return tids
+
+    def positional_matrix(self, data, limit: int) -> np.ndarray:
+        """``Pr(r(t_i) = j)`` for ``j = 1 .. limit``, computed on the caller's ``data``.
+
+        Narrower requests are served by slicing the cached matrix, which
+        is bit-identical to a fresh narrow computation (see each entry).
+        Growth happens under the entry lock and the result is a slice of a
+        locally captured array, as in :meth:`CachedRelation.prefix_matrix`.
         """
-        from ..andxor.generating import positional_probabilities_tree
-
+        compute = self._positional_kernel(data)
         with self.lock:
             positional = self.positional
             if positional is None or positional.shape[1] < limit:
-                _, positional = positional_probabilities_tree(self.tree, max_rank=limit)
+                positional = compute(limit)
                 self.positional = positional
         return positional[:, :limit]
 
+    @abstractmethod
+    def _positional_kernel(self, data) -> Callable[[int], np.ndarray]:
+        """The positional-matrix computation on ``data``, as a function of the limit."""
+
 
 @dataclass
-class CachedNetwork:
-    """The cached intermediates of one Markov-network relation.
+class CachedTree(_CorrelatedEntry):
+    """The cached intermediates of one and/xor tree.
 
-    Besides the positional matrix, the entry retains the junction tree
-    and its evidence-free calibration.  The tree holds everything that
-    does not depend on evidence (components, home cliques, potentials,
-    the dynamic program's layout) and the evidence-free messages, which
-    each per-tuple calibration on ``X_t = 1`` reuses for every edge
-    whose source side holds no evidence.  The calibration also memoizes
-    its normalized clique marginals behind every ``Pr(X_t = 1)`` lookup.
-    :meth:`elements` counts its beliefs, kept messages and memoized
-    marginals.
+    The sorted order, the positional matrix of the tree's generating
+    functions and memoized PRFe value vectors of Algorithm 3 (keyed by
+    ``alpha``).  The entry refers to no tree: content-equal trees share
+    it, the matrix is computed on the caller's tree, and results carry
+    the caller's leaf tuples.  Slicing the matrix is exact: the
+    generating-function coefficients of degree ``< limit`` are sums of
+    exactly the products a narrower truncation computes.
     """
 
-    ordered: list[Tuple]
-    model: "MarkovNetworkRelation" = field(repr=False, default=None)
-    junction: "JunctionTree | None" = field(default=None, repr=False)
-    base_calibrated: "CalibratedTree | None" = field(default=None, repr=False)
-    positional: np.ndarray | None = None  # (n, limit_computed) or None
-    extras: dict[Any, Any] = field(default_factory=dict)
-    source: weakref.ref | None = field(default=None, repr=False)
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    def _positional_kernel(self, tree: "AndXorTree") -> Callable[[int], np.ndarray]:
+        from ..andxor.generating import positional_probabilities_tree
 
-    @property
-    def n(self) -> int:
-        """Number of tuples in the cached network relation."""
-        return len(self.ordered)
+        return lambda limit: positional_probabilities_tree(tree, max_rank=limit)[1]
+
+
+@dataclass
+class CachedNetwork(_CorrelatedEntry):
+    """The cached intermediates of one Markov-network relation.
+
+    Besides the sorted order and the positional matrix, the entry holds
+    the junction tree and its evidence-free calibration.  The tree holds
+    everything that does not depend on evidence (components, home
+    cliques, potentials, the dynamic program's layout) and the
+    evidence-free messages, which each per-tuple calibration on
+    ``X_t = 1`` reuses for every edge whose source side holds no
+    evidence.  The calibration also memoizes its normalized clique
+    marginals behind every ``Pr(X_t = 1)`` lookup.  :meth:`elements`
+    counts its beliefs, kept messages and memoized marginals.  The DP is
+    limit-independent (``limit`` only truncates the stored columns), so
+    slicing the matrix is exact.
+    """
+
+    junction: "JunctionTree" = field(kw_only=True, repr=False)
+    base_calibrated: "CalibratedTree | None" = field(default=None, repr=False)
 
     def elements(self) -> int:
         """Cached size in float64-equivalent elements (for the eviction budget)."""
-        total_bytes = _extras_bytes(self.extras)
-        if self.positional is not None:
-            total_bytes += self.positional.nbytes
-        if self.base_calibrated is not None:
-            total_bytes += self.base_calibrated.nbytes
-        return total_bytes // 8
+        calibrated = self.base_calibrated
+        return super().elements() + (calibrated.nbytes // 8 if calibrated else 0)
 
     def shed(self) -> None:
-        """Drop the matrices and calibration, keeping the cheap sorted order.
+        """Drop the matrices and calibration, keeping the order and junction tree.
 
-        Locked for the same reason as :meth:`CachedRelation.shed`: an
-        unlocked ``base_calibrated = None`` wipe racing a concurrent
-        :meth:`calibrated` call could hand the caller ``None``.
+        Locked: an unlocked ``base_calibrated = None`` wipe racing a
+        concurrent :meth:`calibrated` call could hand the caller ``None``.
         """
         with self.lock:
             self.positional = None
             self.base_calibrated = None
             _drop_array_extras(self.extras)
-
-    def junction_tree(self) -> "JunctionTree":
-        """The (lazily built) junction tree of the network."""
-        with self.lock:
-            junction = self.junction
-            if junction is None:
-                from ..graphical.ranking import junction_tree_for
-
-                junction = junction_tree_for(self.model)
-                self.junction = junction
-        return junction
 
     def calibrated(self) -> "CalibratedTree":
         """The evidence-free calibration, shared by all ``Pr(X_t = 1)`` lookups.
@@ -464,34 +482,20 @@ class CachedNetwork:
         again after releasing the lock could observe a concurrent
         :meth:`shed` wipe and return ``None``.
         """
-        tree = self.junction_tree()
         with self.lock:
             calibrated = self.base_calibrated
             if calibrated is None:
-                calibrated = tree.calibrate()
+                calibrated = self.junction.calibrate()
                 self.base_calibrated = calibrated
         return calibrated
 
-    def positional_matrix(self, limit: int) -> np.ndarray:
-        """``Pr(r(t_i) = j)`` from the junction-tree dynamic program.
-
-        The DP itself is limit-independent (the count distribution is
-        always computed in full; ``limit`` only truncates the stored
-        columns), so slicing a wider cached matrix is bit-identical to a
-        fresh narrow computation.
-        """
+    def _positional_kernel(self, model: "MarkovNetworkRelation") -> Callable[[int], np.ndarray]:
         from ..graphical.ranking import positional_probabilities_markov
 
-        tree = self.junction_tree()
-        base = self.calibrated()
-        with self.lock:
-            positional = self.positional
-            if positional is None or positional.shape[1] < limit:
-                _, positional = positional_probabilities_markov(
-                    self.model, max_rank=limit, tree=tree, base=base
-                )
-                self.positional = positional
-        return positional[:, :limit]
+        tree, base = self.junction, self.calibrated()
+        return lambda limit: positional_probabilities_markov(
+            model, max_rank=limit, tree=tree, base=base
+        )[1]
 
 
 class RelationCache:
@@ -506,11 +510,14 @@ class RelationCache:
         elements across all entries (8 bytes each); least-recently-used
         entries are evicted until the budget holds.  An entry whose matrix
         alone exceeds the budget is still served but not retained.  The
-        budget covers the array payloads (sorted columns, prefix and
-        positional matrices, tid strings, memoized values); the
-        Python-object overhead of the tree and network entries' retained
-        ``Tuple`` lists is not counted and is bounded only by
-        ``max_relations``.
+        budget covers the array payloads (orders, sorted columns, prefix
+        and positional matrices, tid strings, memoized values, Markov
+        calibrations); the junction trees of network entries are not
+        counted and are bounded only by ``max_relations``.
+
+    Content-equal datasets share one entry.  Entries refer to no dataset,
+    so a hit hands back the entry untouched and every result carries the
+    caller's own tuples.
 
     The cache is protected by a lock, so concurrent ``rank()`` calls from
     multiple threads are safe; entry matrices may be computed redundantly
@@ -524,7 +531,9 @@ class RelationCache:
         self.max_relations = max_relations
         self.max_elements = max_elements
         self.stats = CacheStats()
-        self._entries: "OrderedDict[str, CachedRelation]" = OrderedDict()
+        self._entries: "OrderedDict[str, CachedRelation | CachedTree | CachedNetwork]" = (
+            OrderedDict()
+        )
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -563,20 +572,7 @@ class RelationCache:
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
-        if entry is not None:
-            if not isinstance(entry, CachedRelation) and (
-                entry.source is None or entry.source() is not data
-            ):
-                # Content-equal but distinct tree or network: rebind the
-                # tuple objects so results carry the caller's own tuples.
-                # One dict pass over the dataset's tuples — a ``get()``
-                # per tid would make warm hits quadratic.
-                tuples = data.tuples
-                by_tid = {t.tid: t for t in (tuples() if callable(tuples) else tuples)}
-                entry.ordered = [by_tid[t.tid] for t in entry.ordered]
-                entry.source = weakref.ref(data)
-            return entry
-        with self._lock:
+                return entry
             self.stats.misses += 1
         entry = self._build_entry(data)
         if store:
@@ -596,15 +592,12 @@ class RelationCache:
         from ..andxor.tree import AndXorTree
 
         if isinstance(data, AndXorTree):
-            return CachedTree(
-                ordered=data.sorted_tuples(), tree=data, source=weakref.ref(data)
-            )
+            return CachedTree.of(data.tuples())
         from ..graphical.model import MarkovNetworkRelation
+        from ..graphical.ranking import junction_tree_for
 
         if isinstance(data, MarkovNetworkRelation):
-            return CachedNetwork(
-                ordered=data.sorted_tuples(), model=data, source=weakref.ref(data)
-            )
+            return CachedNetwork.of(data.tuples, junction=junction_tree_for(data))
         raise TypeError(f"cannot cache objects of type {type(data).__name__}")
 
     def _evict_locked(self) -> None:

@@ -63,10 +63,8 @@ __all__ = [
     "validated_k",
     "ranking_order",
     "ranked_result",
-    "sort_columns",
     "independent_topk_log_values",
     "certified",
-    "prefix_top_k",
 ]
 
 _LOG_EPS = 1e-300
@@ -186,19 +184,6 @@ def ranked_result(items: Sequence[Tuple], values: np.ndarray, name: str) -> Rank
     )
 
 
-def sort_columns(entry) -> tuple[np.ndarray, np.ndarray]:
-    """The cached ``(scores, str(tid))`` columns of a tree or network entry."""
-    columns = entry.extras.get("sort_columns")
-    if columns is None:
-        ordered = entry.ordered
-        columns = (
-            np.array([t.score for t in ordered], dtype=float),
-            np.array([str(t.tid) for t in ordered]),
-        )
-        entry.extras["sort_columns"] = columns
-    return columns
-
-
 def independent_topk_log_values(
     probabilities: np.ndarray, alpha: float, k: int
 ) -> tuple[np.ndarray, int, float]:
@@ -274,28 +259,3 @@ def certified(keys: np.ndarray, k: int, bound: float) -> bool:
         return False
     kth = np.partition(keys, m - k)[m - k]
     return bool(kth > bound)
-
-
-def prefix_top_k(
-    entry,
-    values: np.ndarray,
-    k: int,
-    name: str,
-    sort_keys: np.ndarray | None = None,
-) -> RankingResult:
-    """Top-k :class:`RankingResult` of a tree or network entry from an examined prefix.
-
-    The prefix-restricted twin of
-    :func:`repro.engine.backends.base.build_result`: the same
-    :func:`ranking_order` over the examined slice of the entry's
-    columns, truncated to the best ``k`` items with positions
-    ``1 .. k``.  Because the early-termination bound guarantees every
-    unexamined tuple sorts strictly below the k-th examined key, this
-    equals the first ``k`` items of the full ranking.
-    """
-    values = np.asarray(values)
-    m = values.shape[0]
-    scores, tids = sort_columns(entry)
-    order = ranking_order(values, scores[:m], lambda: tids[:m], sort_keys)[:k]
-    ordered = entry.ordered
-    return ranked_result([ordered[i] for i in order.tolist()], values[order], name)

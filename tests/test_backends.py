@@ -9,6 +9,9 @@ sweeps alike.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -103,6 +106,41 @@ class TestAndXorBackendEquivalence:
         result = engine.rank(third, PRFe(0.9))
         assert engine.cache_stats()["hits"] >= 1
         assert all(item.item is third.get(item.tid) for item in result)
+        # Every path returning tuples, for trees and networks, hands back
+        # the caller's own objects, and a cache entry keeps no dataset
+        # alive: the twin that built it can be freed while it serves others.
+        makers = [
+            lambda: generate_random_tree(30, TreeShape(3, 3, 1.0), rng=11),
+            lambda: random_network(np.random.default_rng(7), n=12),
+        ]
+        for make in makers:
+            engine = Engine()
+            builder = make()
+            engine.sorted_tuples(builder)
+            probe = weakref.ref(builder)
+            del builder
+            gc.collect()
+            assert probe() is None
+            caller, other = make(), make()
+            backend = engine.backend_for(caller)
+            top, report = engine.rank_top_k(caller, PRFe(0.5), 2)
+            assert report.pruned
+            owned = [(caller, top), (caller, engine.rank(caller, PRFe(0.9)))]
+            owned += [
+                (caller, result)
+                for result in engine.rank_many(caller, [PRFe(0.8), PRFOmega(StepWeight(4))])
+            ]
+            for store in (True, False):
+                pair = backend.rank_batch([caller, other], PRFOmega(StepWeight(4)), store=store)
+                owned += list(zip((caller, other), pair))
+            owned.append((caller, engine.positional_matrix(caller)[0]))
+            owned.append((caller, engine.sorted_tuples(caller)))
+            assert len(engine.cache) == 1
+            for owner, items in owned:
+                tuples = [getattr(item, "item", item) for item in items]
+                assert len(tuples) > 0
+                assert all(t is owner.get(t.tid) for t in tuples)
+            assert engine.cache_stats()["misses"] == 1
 
     def test_positional_matrix_narrowing_is_exact(self):
         tree = syn_xor(30, rng=13)

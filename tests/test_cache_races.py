@@ -23,8 +23,10 @@ import numpy as np
 import pytest
 
 from repro import Engine, PRFe, PRFOmega, ProbabilisticRelation, Tuple
+from repro.andxor.tree import AndXorTree
 from repro.core.columnar import ColumnarRelation
 from repro.core.weights import StepWeight
+from repro.datasets.synthetic import syn_xor
 from repro.engine.cache import RelationCache, dataset_fingerprint
 from repro.graphical import MarkovChainRelation, MarkovNetworkRelation
 
@@ -83,8 +85,7 @@ class TestCalibratedShedRace:
         ``None`` and the Markov backend crashed on a ``NoneType``.
         """
         cache = RelationCache()
-        entry = cache.entry_for(make_network())
-        entry.junction_tree()  # build before arming, so only calibrate races
+        entry = cache.entry_for(make_network())  # builds the junction tree
         entry.lock = ShedOnRelease(entry)
         calibrated = entry.calibrated()
         assert calibrated is not None
@@ -97,9 +98,8 @@ class TestCalibratedShedRace:
         cache = RelationCache()
         network = make_network(1)
         entry = cache.entry_for(network)
-        entry.junction_tree()
         entry.lock = ShedOnRelease(entry)
-        matrix = entry.positional_matrix(4)
+        matrix = entry.positional_matrix(network, 4)
         assert matrix.shape[1] == 4
         assert np.all(np.isfinite(matrix))
 
@@ -222,30 +222,42 @@ class TestSharedNetworkColdRank:
             sys.setswitchinterval(interval)
 
 
-def twin_forms(columnar: bool, count: int, n: int = 40):
-    """``count`` distinct, content-equal relations in one storage form."""
+def twin_forms(form: str, count: int, n: int = 40):
+    """``count`` distinct, content-equal datasets of one kind."""
+    if form == "tree":
+        return [syn_xor(n, rng=13) for _ in range(count)]
+    if form == "network":
+        return [make_forest() for _ in range(count)]
     rng = np.random.default_rng(13)
     scores = rng.permutation(n).astype(float)
     probabilities = rng.uniform(0.05, 1.0, size=n)
-    if columnar:
+    if form == "columnar":
         return [ColumnarRelation(scores.copy(), probabilities.copy()) for _ in range(count)]
     return [ProbabilisticRelation.from_arrays(scores, probabilities) for _ in range(count)]
 
 
+def own_tuples(twin) -> dict:
+    """A tuple-carrying dataset's own ``Tuple`` objects by identifier."""
+    tuples = twin.tuples() if isinstance(twin, AndXorTree) else twin.tuples
+    return {t.tid: t for t in tuples}
+
+
 class TestTwinsOnThreads:
-    @pytest.mark.parametrize("columnar", [False, True], ids=["tuple", "columnar"])
-    def test_every_result_refers_to_the_callers_twin(self, columnar):
+    @pytest.mark.parametrize("form", ["tuple", "columnar", "tree", "network"])
+    def test_every_result_refers_to_the_callers_twin(self, form):
         """Threads ranking content-equal twins through one engine keep their own objects.
 
         Regression: a cache hit repointed the one shared entry at the
-        caller's relation (or its ``Tuple`` list) while other threads were
+        caller's dataset (or its ``Tuple`` list) while other threads were
         still building results from it, so results referred to another
-        thread's relation or carried another caller's tuples.
+        thread's relation or carried another caller's tuples.  And/xor
+        trees and Markov networks are covered too: their entries used to
+        rebind their sorted ``Tuple`` list to each hitting twin.
         """
-        workers, rounds = 4, 60
+        workers, rounds = 4, 100
         engine = Engine()
         specs = [PRFe(0.9), PRFOmega(StepWeight(5))]
-        twins = twin_forms(columnar, workers)
+        twins = twin_forms(form, workers)
         engine.rank(twins[0], specs[0])
 
         def worker(twin, barrier, slot: int) -> None:
@@ -272,19 +284,20 @@ class TestTwinsOnThreads:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         foreign = 0
         for twin, results in zip(twins, collected):
             assert len(results) == rounds * (2 * len(specs) + 1)
-            if columnar:
+            if form == "columnar":
                 full = [r for r in results if hasattr(r, "relation")]
                 assert len(full) == rounds * 2 * len(specs)
                 foreign += sum(r.relation is not twin for r in full)
             else:
-                own = {t.tid: t for t in twin}
+                own = own_tuples(twin)
                 foreign += sum(
                     item.item is not own[item.tid] for r in results for item in r
                 )
