@@ -69,6 +69,10 @@ COLD_TREE_HORIZON = 50
 #: Cold ranks in the timed region: enough to keep it above ~20 ms on a
 #: 2-core x86 box.
 COLD_TREE_ROUNDS = 8
+COLD_MARKOV_N = 60
+#: Cold ranks in the timed region: enough to keep it above ~20 ms on a
+#: 2-core x86 box.
+COLD_MARKOV_ROUNDS = 4
 
 
 def _cache_stats(engine: Engine) -> dict:
@@ -587,6 +591,52 @@ def test_andxor_general_weight_cold(benchmark, save_result):
                 "fresh engine per call",
                 f"{COLD_TREE_ROUNDS} cold ranks (s)   {elapsed:.4f}",
                 f"cold rank (ms)      {elapsed / COLD_TREE_ROUNDS * 1e3:.2f}",
+            ]
+        ),
+    )
+
+
+def test_markov_rank_cold(benchmark, save_result):
+    """Cold Markov-network ranking: every tuple's row in one stacked pass.
+
+    ``Engine().rank(chain, PRFe(0.95))`` on an n = 60 homogeneous chain
+    (the ``analytic`` workload's network) on a fresh engine per call, so
+    every call builds the positional matrix: all 60 conditioned
+    calibrations and partial-sum DPs in one pass over row-stacked tables.
+    The call repeats ``COLD_MARKOV_ROUNDS`` times per timed call, at the
+    same size in smoke and full runs.  The values must equal the legacy
+    ``rank_markov_network`` ones bit for bit.
+    """
+    rng = np.random.default_rng(233)
+    tuples = [
+        Tuple(f"t{position}", float(score), 1.0)
+        for position, score in enumerate(rng.permutation(COLD_MARKOV_N * 10)[:COLD_MARKOV_N])
+    ]
+    chain = MarkovChainRelation.homogeneous(tuples, 0.6, 0.7, 0.8, name="cold-chain")
+    network = chain.to_markov_network()
+    rf = PRFe(0.95)
+
+    def cold():
+        for _ in range(COLD_MARKOV_ROUNDS):
+            result = Engine().rank(network, rf)
+        return result
+
+    result, elapsed = _best_of(cold)
+    run_once(benchmark, cold)
+
+    legacy = rank_markov_network(network, rf)
+    assert result.tids() == legacy.tids()
+    assert np.array_equal(
+        np.array([item.value for item in result]), np.array([item.value for item in legacy])
+    )
+    save_result(
+        "engine_markov_cold",
+        "\n".join(
+            [
+                f"network             n={COLD_MARKOV_N} homogeneous chain, PRFe(0.95), "
+                "fresh engine per call",
+                f"{COLD_MARKOV_ROUNDS} cold ranks (s)   {elapsed:.4f}",
+                f"cold rank (ms)      {elapsed / COLD_MARKOV_ROUNDS * 1e3:.2f}",
             ]
         ),
     )

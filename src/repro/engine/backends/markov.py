@@ -2,13 +2,15 @@
 
 Section 9.4's algorithm ranks a bounded-treewidth Markov network by
 running, per tuple, a partial-sum dynamic program over the junction
-tree calibrated on ``X_t = 1``.  Everything that does not depend on the
-tuple is done once per junction tree (see
-:class:`~repro.graphical.junction_tree.JunctionTree`): components, home
-cliques, potentials, the DP's post-order layout and the evidence-free
-messages, which each per-tuple calibration reuses for every edge whose
-source side holds no evidence.  The backend caches on the network's
-fingerprint entry:
+tree calibrated on ``X_t = 1``.  The positional matrix runs it for every
+tuple at once: one calibration and one DP walk over tables with a
+leading row axis, one row per tuple (see
+:func:`~repro.graphical.ranking.positional_probabilities_markov`).
+Everything that does not depend on the tuple is derived once per
+junction tree (see :class:`~repro.graphical.junction_tree.JunctionTree`):
+components, home cliques, potentials, the message schedule and the DP's
+post-order layout.  The backend caches on the network's fingerprint
+entry:
 
 * the junction tree (built with the entry, once per network content),
 * the evidence-free calibration, whose memoized clique marginals serve
@@ -77,13 +79,13 @@ class MarkovBackend(CorrelatedBackend):
     ) -> tuple[RankingResult, TopKReport]:
         """Top ``k`` under ``rf``, early-terminating the junction-tree DP.
 
-        For prunable specs the backend runs one rank-distribution DP per
-        score-sorted tuple plus one evidence-free prefix-count DP for the
-        geometric-decay bound (:func:`~repro.graphical.ranking.
+        For prunable specs the backend runs one one-row rank-distribution
+        DP per score-sorted tuple plus one evidence-free prefix-count DP
+        for the geometric-decay bound (:func:`~repro.graphical.ranking.
         prefix_count_distribution`), stopping once the k-th best
-        confirmed value beats ``alpha * E[alpha^count]`` — about two DP
-        passes per *examined* tuple against ``n`` passes for the full
-        positional matrix.  A cached wide positional matrix short-cuts to
+        confirmed value beats ``alpha * E[alpha^count]`` — about two
+        one-row passes per *examined* tuple against one ``n``-row
+        stacked pass for the full positional matrix.  A cached wide positional matrix short-cuts to
         the full (already-paid-for) evaluation; an early-terminated
         prefix is memoized under ``("topk", alpha)``.  The returned
         *set* of tuples equals the full ranking's top ``k``; values may

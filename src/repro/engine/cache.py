@@ -20,9 +20,9 @@ entry type exists per correlation model:
   incremental Algorithm 3 (keyed by ``alpha``).
 * :class:`CachedNetwork` (Markov networks): the score-descending order
   and scores, the junction tree, the evidence-free calibration (its
-  messages are reused by every per-tuple evidence calibration, its
-  memoized clique marginals by every ``Pr(X_t = 1)`` lookup) and the
-  junction-tree-DP positional matrix.
+  memoized clique marginals serve every ``Pr(X_t = 1)`` lookup and the
+  top-k prefix bound) and the junction-tree-DP positional matrix, built
+  for every tuple in one row-stacked pass.
 
 No entry refers to a dataset or holds a ``Tuple``: an entry's order
 indexes the dataset's tuple sequence, methods that need the correlation
@@ -446,12 +446,12 @@ class CachedNetwork(_CorrelatedEntry):
     Besides the sorted order and the positional matrix, the entry holds
     the junction tree and its evidence-free calibration.  The tree holds
     everything that does not depend on evidence (components, home
-    cliques, potentials, the dynamic program's layout) and the
-    evidence-free messages, which each per-tuple calibration on
-    ``X_t = 1`` reuses for every edge whose source side holds no
-    evidence.  The calibration also memoizes its normalized clique
-    marginals behind every ``Pr(X_t = 1)`` lookup.  :meth:`elements`
-    counts its beliefs, kept messages and memoized marginals.  The DP is
+    cliques, potentials, the message schedule, the dynamic program's
+    layout); the positional matrix conditions every tuple on ``X_t = 1``
+    at once in row-stacked tables that are not kept.  The calibration
+    memoizes its normalized clique marginals behind every ``Pr(X_t =
+    1)`` lookup and the top-k prefix bound.  :meth:`elements` counts its
+    beliefs, kept messages and memoized marginals.  The DP is
     limit-independent (``limit`` only truncates the stored columns), so
     slicing the matrix is exact.
     """

@@ -18,7 +18,7 @@ __all__ = ["Factor"]
 
 
 class Factor:
-    """A non-negative table over an ordered set of binary variables."""
+    """A finite, non-negative table over an ordered set of binary variables."""
 
     def __init__(self, variables: Sequence[Any], table: np.ndarray | Sequence) -> None:
         self.variables: tuple[Any, ...] = tuple(variables)
@@ -26,6 +26,8 @@ class Factor:
         expected_shape = (2,) * len(self.variables)
         if array.shape != expected_shape:
             array = array.reshape(expected_shape)
+        if not np.all(np.isfinite(array)):
+            raise ValueError("factor tables must be finite")
         if np.any(array < -1e-12):
             raise ValueError("factor tables must be non-negative")
         self.table = np.clip(array, 0.0, None)

@@ -15,15 +15,20 @@ variables.  This module builds such a tree from an arbitrary factor list:
    two-pass sum-product message passing (Shafer-Shenoy style, one
    message per directed edge, upward in post-order then downward).
 
-Calibration optionally takes evidence (pinned variables), which is how
-the ranking algorithm conditions on ``X_t = 1``.  The evidence-free
-calibration is computed once per tree; a calibration with evidence
-reuses its message on every edge whose source side holds no evidence.
+Calibration optionally takes evidence (pinned variables).  The
+evidence-free calibration is computed once per tree; a calibration with
+evidence reuses its message on every edge whose source side holds no
+evidence.  The ranking algorithm conditions on ``X_t = 1`` for many
+tuples at once: :meth:`JunctionTree.calibrate_rows` runs the message
+schedule once over tables with a leading row axis, row ``b`` conditioned
+on its own variable, and returns the normalized clique marginals.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .factors import Factor
 
@@ -137,7 +142,8 @@ class JunctionTree:
     each variable's home clique (the first clique containing it), the
     sorted separators, a post-order of every component rooted at its
     first clique (the message schedule and the layout of the ranking
-    dynamic program), and the evidence-free clique potentials.  The
+    dynamic program), each directed edge's row-stacked message layout
+    (for :meth:`calibrate_rows`), and the evidence-free clique potentials.  The
     evidence-free calibration is computed on first use and published as
     one completed object, so a tree shared across threads is never seen
     half-built.
@@ -182,6 +188,17 @@ class JunctionTree:
             for clique in reversed(rooted):
                 self._schedule += [(clique.index, child) for child, _, _ in clique.children]
         self._potentials = [self._potential(index) for index in range(len(self.cliques))]
+        # Per directed edge (source, target): the source-clique axes summed
+        # out of the message and the shape laying the message out along the
+        # target clique's axes (the row-stacked calibration's layout).
+        self._edge_layout: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        for (source, target), separator in self._separators.items():
+            source_vars = sorted(self.cliques[source], key=str)
+            target_vars = sorted(self.cliques[target], key=str)
+            self._edge_layout[source, target] = (
+                tuple(axis + 1 for axis, v in enumerate(source_vars) if v not in separator),
+                tuple(2 if v in separator else 1 for v in target_vars),
+            )
         self._evidence_free: CalibratedTree | None = None
 
     # -- structure metrics ------------------------------------------------
@@ -337,6 +354,69 @@ class JunctionTree:
             for index in range(len(self.cliques))
         ]
         return CalibratedTree(self, beliefs, evidence)
+
+    def calibrate_rows(
+        self, variables: Sequence[Hashable]
+    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """Calibrate one copy of the tree per row, row ``b`` given ``variables[b] = 1``.
+
+        Every potential, message and belief carries a leading row axis:
+        the evidence-free potentials are broadcast to ``(B, 2, ...)`` and
+        row ``b``'s evidence indicator is multiplied into its home clique,
+        then the message schedule runs once.  Every message is recomputed
+        for every row; a message whose source side holds no evidence comes
+        out with the evidence-free bits, because it is computed from the
+        same inputs in the same order as :meth:`calibrate`'s.
+
+        Returns the normalized clique marginals, one ``(B,) + (2,) * |C|``
+        array per clique (axes in sorted-variable order), and the
+        ``(B, components)`` unnormalized component masses.  A row whose
+        component mass is zero keeps its unnormalized (all-zero) beliefs,
+        as :meth:`CalibratedTree.clique_marginal` does.
+        """
+        rows = len(variables)
+        potentials = [
+            np.broadcast_to(potential.table, (rows,) + potential.table.shape).copy()
+            for potential in self._potentials
+        ]
+        for row, variable in enumerate(variables):
+            if variable not in self._home:
+                raise KeyError(f"evidence variable {variable!r} is not in the network")
+            home = self._home[variable]
+            clique_vars = sorted(self.cliques[home], key=str)
+            indicator = Factor.evidence(variable, 1).expand(clique_vars)
+            potentials[home][row] = potentials[home][row] * indicator
+        messages: dict[tuple[int, int], np.ndarray] = {}
+        for source, target in self._schedule:
+            product = potentials[source]
+            for neighbor in self.neighbors[source]:
+                if neighbor != target:
+                    product = product * self._laid_out(messages, neighbor, source, rows)
+            drop_axes, _ = self._edge_layout[source, target]
+            messages[source, target] = product.sum(axis=drop_axes) if drop_axes else product
+        beliefs = []
+        for index in range(len(self.cliques)):
+            belief = potentials[index]
+            for neighbor in self.neighbors[index]:
+                belief = belief * self._laid_out(messages, neighbor, index, rows)
+            beliefs.append(belief)
+        masses = np.empty((rows, len(self._components)))
+        for position, component in enumerate(self._components):
+            root = beliefs[component[0]]
+            masses[:, position] = root.sum(axis=tuple(range(1, root.ndim)))
+        marginals = []
+        for index, belief in enumerate(beliefs):
+            mass = masses[:, self._component_of[index]]
+            mass = np.where(mass > 0.0, mass, 1.0).reshape((rows,) + (1,) * (belief.ndim - 1))
+            marginals.append(belief / mass)
+        return marginals, masses
+
+    def _laid_out(
+        self, messages: Mapping[tuple[int, int], np.ndarray], source: int, target: int, rows: int
+    ) -> np.ndarray:
+        """The row-stacked message ``source -> target`` along the target clique's axes."""
+        _, shape = self._edge_layout[source, target]
+        return messages[source, target].reshape((rows,) + shape)
 
     def _calibrate_from_scratch(self) -> "CalibratedTree":
         """The evidence-free calibration, every message computed."""

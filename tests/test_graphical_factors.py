@@ -20,6 +20,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Factor(("a",), [-0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # NaN slips past a ``< 0`` check and ``np.clip`` keeps NaN and inf.
+        with pytest.raises(ValueError, match="finite"):
+            Factor(("a",), [bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            Factor(("a", "b"), [[0.5, 0.5], [0.5, bad]])
+
     def test_duplicate_variables_rejected(self):
         with pytest.raises(ValueError):
             Factor(("a", "a"), np.ones((2, 2)))

@@ -62,6 +62,16 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             MarkovNetworkRelation(tuples, [Factor(("a",), [0.5, 0.5])])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_factor_rejected(self, bad):
+        tuples = [Tuple("a", 1.0, 1.0), Tuple("b", 2.0, 1.0)]
+        factor = Factor(("a", "b"), np.full((2, 2), 0.5))
+        # A table edited after construction is caught when the network
+        # copies its factors.
+        factor.table[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MarkovNetworkRelation(tuples, [factor])
+
     def test_from_independent_marginals(self):
         relation = ProbabilisticRelation.from_pairs([(3, 0.3), (2, 0.7)])
         network = MarkovNetworkRelation.from_independent(relation)

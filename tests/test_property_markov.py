@@ -5,16 +5,28 @@ be enumerated) cover chains, loopy networks and forests of two or more
 components, with some tuples pinned to probability 0 or 1 by a
 deterministic unary factor.  The engine's positional matrix must match
 the possible-worlds oracle, and every engine path must agree with the
-legacy evaluator bit for bit.
+legacy evaluator bit for bit.  The matrix is built by one row-stacked
+pass per chunk of rows; no chunking and no other row of the stack may
+change a row's bits, so every row must equal the one-row run.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import repro.graphical.ranking as markov_ranking
+
 from repro import Engine, PRFe, PRFOmega, Tuple
 from repro.core.possible_worlds import rank_distribution_by_enumeration
 from repro.core.weights import StepWeight
-from repro.graphical import Factor, MarkovNetworkRelation, rank_markov_network
+from repro.graphical import (
+    Factor,
+    MarkovNetworkRelation,
+    positional_probabilities_markov,
+    rank_distribution_markov,
+    rank_markov_network,
+)
 
 POSITIVE = st.floats(min_value=0.05, max_value=1.0)
 
@@ -94,3 +106,25 @@ def test_top_k_returns_the_full_rankings_top_k_set(network, alpha, k):
     pruned, report = Engine().rank_top_k(network, PRFe(alpha), k)
     assert {item.tid for item in pruned} == {item.tid for item in full[:k]}
     assert report.k == k and report.examined <= len(network)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_networks(), st.sampled_from([None, 1, 3]))
+def test_row_chunks_change_no_bit(network, max_rank):
+    _, whole = positional_probabilities_markov(network, max_rank=max_rank)
+    per_row = markov_ranking._row_elements(
+        markov_ranking.junction_tree_for(network), len(network)
+    )
+    # Chunks of one row (any bound below one row's size) and of two rows.
+    for elements in (1, 2, 2 * per_row):
+        with mock.patch.object(markov_ranking, "_STACK_ELEMENTS", elements):
+            _, chunked = positional_probabilities_markov(network, max_rank=max_rank)
+        assert np.array_equal(chunked, whole), elements
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_networks())
+def test_matrix_rows_match_one_row_runs(network):
+    ordered, matrix = positional_probabilities_markov(network)
+    for row, t in zip(matrix, ordered):
+        assert np.array_equal(row, rank_distribution_markov(network, t.tid)[1:]), t.tid
