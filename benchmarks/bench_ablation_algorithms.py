@@ -5,12 +5,15 @@ algorithmic choices of the reproduction:
 
 * divide-and-conquer/FFT polynomial products versus schoolbook products
   (Appendix B.1),
-* the incremental ANDXOR-PRFe-RANK (Algorithm 3) versus per-tuple
-  re-evaluation of the generating function,
+* ANDXOR-PRFe-RANK (Algorithm 3) as one stacked walk over every row
+  (and, in the 8-alpha case, every alpha) versus per-tuple re-evaluation
+  of the generating function,
 * the vectorized top-k Kendall distance versus the case-by-case
   reference implementation,
 * exact positional probabilities versus Monte-Carlo estimation.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -18,10 +21,20 @@ import pytest
 from repro.algorithms.montecarlo import estimate_rank_distributions
 from repro.algorithms.independent import positional_probabilities
 from repro.algorithms.polynomials import product_divide_and_conquer, product_naive
-from repro.andxor.ranking import prfe_values_tree, prfe_values_tree_recompute
+from repro.andxor.ranking import (
+    PRFeLayout,
+    prfe_values_stacked,
+    prfe_values_tree,
+    prfe_values_tree_recompute,
+)
 from repro.core.possible_worlds import sample_worlds
 from repro.datasets import generate_iip_like, syn_med
 from repro.metrics import kendall_topk_distance, kendall_topk_distance_reference
+
+SMOKE = os.environ.get("BENCH_SMOKE") == "1"
+
+TREE_SIZE = 200 if SMOKE else 800
+TREE_ALPHAS = [float(alpha) for alpha in np.linspace(0.8, 0.99, 8)]
 
 
 @pytest.mark.parametrize("strategy", ["naive", "divide_and_conquer"])
@@ -33,14 +46,22 @@ def test_ablation_polynomial_product(benchmark, strategy):
     assert abs(result.sum() - 1.0) < 1e-6
 
 
-@pytest.mark.parametrize("strategy", ["incremental", "recompute"])
+@pytest.mark.parametrize("strategy", ["stacked", "stacked-8-alphas", "recompute"])
 def test_ablation_tree_prfe_evaluation(benchmark, strategy):
-    tree = syn_med(800, rng=5)
-    function = prfe_values_tree if strategy == "incremental" else prfe_values_tree_recompute
+    tree = syn_med(TREE_SIZE, rng=5)
+    if strategy == "stacked-8-alphas":
+        columns = benchmark.pedantic(
+            lambda: prfe_values_stacked(PRFeLayout(tree), TREE_ALPHAS), rounds=1, iterations=1
+        )
+        # Each alpha of the stacked run has the bits of its own run.
+        for alpha, values in zip(TREE_ALPHAS, columns):
+            assert np.array_equal(values, prfe_values_tree(tree, alpha)[1])
+        return
+    function = prfe_values_tree if strategy == "stacked" else prfe_values_tree_recompute
     ordered, values = benchmark.pedantic(
         lambda: function(tree, 0.95), rounds=1, iterations=1
     )
-    assert len(values) == len(ordered) == 800
+    assert len(values) == len(ordered) == TREE_SIZE
     # Both strategies agree (spot check; the full check lives in the tests).
     _, reference = prfe_values_tree(tree, 0.95)
     assert np.allclose(values, reference, rtol=1e-8, atol=1e-12)

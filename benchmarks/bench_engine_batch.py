@@ -73,6 +73,9 @@ COLD_MARKOV_N = 60
 #: Cold ranks in the timed region: enough to keep it above ~20 ms on a
 #: 2-core x86 box.
 COLD_MARKOV_ROUNDS = 4
+#: Cold columnar batches in the timed region: enough to keep it above
+#: ~20 ms in smoke runs on a 2-core x86 box.
+COLUMNAR_ROUNDS = 12
 
 
 def _cache_stats(engine: Engine) -> dict:
@@ -197,7 +200,7 @@ def test_rank_many_beats_per_spec_loop(benchmark, save_result):
 
 
 def test_rank_batch_cached_trees_beats_rank_tree_loop(benchmark, save_result):
-    """Warm and/xor batches: the memoized Algorithm 3 path versus the bare loop.
+    """Warm and/xor batches: the memoized PRFe values versus the bare loop.
 
     The steady serving state ranks the same (content-equal) trees
     repeatedly; the backend's per-alpha value memoization must beat
@@ -333,7 +336,12 @@ def test_columnar_rank_batch_beats_tuple_path(benchmark, save_result):
     columnar_results, columnar_time = _best_of(
         lambda: Engine().rank_batch([columnar_form], rf)
     )
-    run_once(benchmark, lambda: Engine().rank_batch([columnar_form], rf))
+
+    def columnar_batches():
+        for _ in range(COLUMNAR_ROUNDS):
+            Engine().rank_batch([columnar_form], rf)
+
+    run_once(benchmark, columnar_batches)
 
     assert columnar_results[0].tids() == tuple_results[0].tids()
     assert np.array_equal(columnar_results[0].values_array(), tuple_results[0].values_array())

@@ -34,11 +34,11 @@ def test_table3_empirical_scaling(benchmark, save_result):
             "E-Rank (O(n log n))",
             "PRFomega(h=100) (O(n h))",
             "general PRF (O(n^2))",
-            "PRFe and/xor (Alg. 3, O(n log n))",
+            "PRFe and/xor (stacked, O(n log n))",
         }
         return
     assert exponents["PRFe (O(n log n))"] < 1.6
     assert exponents["E-Rank (O(n log n))"] < 1.6
     assert exponents["PRFomega(h=100) (O(n h))"] < 1.7
     assert exponents["general PRF (O(n^2))"] > 1.5
-    assert exponents["PRFe and/xor (Alg. 3, O(n log n))"] < 1.7
+    assert exponents["PRFe and/xor (stacked, O(n log n))"] < 1.7

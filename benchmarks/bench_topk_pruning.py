@@ -42,9 +42,12 @@ CURVE_SIZES = (100, 200, 400) if SMOKE else (250, 500, 1000, 2000)
 TREE_SIZE = 150 if SMOKE else 400
 MARKOV_SIZE = 12 if SMOKE else 30
 MARKOV_K = 3
-#: Pruned tree calls per timed call: enough to keep the timed region above
-#: ~20 ms, well over the regression gate's 5 ms floor, on a 2-core x86 box.
-TREE_TOPK_ROUNDS = 16
+#: Calls per timed call of the independent, curve and tree benchmarks:
+#: enough to keep each timed region above ~20 ms, well over the regression
+#: gate's 5 ms floor, in smoke runs on a 2-core x86 box.
+INDEPENDENT_TOPK_ROUNDS = 200
+CURVE_ROUNDS = 5
+TREE_TOPK_ROUNDS = 48
 
 
 def _relation(n: int, seed: int) -> ProbabilisticRelation:
@@ -83,7 +86,12 @@ def test_topk_independent_speedup(benchmark, save_result):
     alphas = _alpha_stream()
     _, full_time = _best_of(lambda: engine.rank(relation, PRFe(next(alphas))))
     _, topk_time = _best_of(lambda: engine.rank_top_k(relation, PRFe(next(alphas)), K))
-    run_once(benchmark, lambda: engine.rank_top_k(relation, PRFe(next(alphas)), K))
+
+    def pruned():
+        for _ in range(INDEPENDENT_TOPK_ROUNDS):
+            engine.rank_top_k(relation, PRFe(next(alphas)), K)
+
+    run_once(benchmark, pruned)
 
     rf = PRFe(0.8)
     full = engine.rank(relation, rf)
@@ -132,7 +140,11 @@ def test_topk_examined_curve(benchmark, save_result):
             reports.append(report)
         return reports
 
-    run_once(benchmark, sweep)
+    def sweeps():
+        for _ in range(CURVE_ROUNDS):
+            sweep()
+
+    run_once(benchmark, sweeps)
     for n, report in zip(CURVE_SIZES, reports):
         rows.append(
             f"n={n:<6} examined={report.examined:<6}"
@@ -151,7 +163,7 @@ def test_topk_examined_curve(benchmark, save_result):
 
 
 def test_topk_andxor_pruning(benchmark, save_result):
-    """Early-terminated Algorithm 3 versus the full tree walk."""
+    """Row-prefix stacked PRFe versus the full stacked walk."""
     tree = syn_xor(TREE_SIZE, rng=131)
     engine = Engine()
     engine.rank(tree, PRFe(0.5))  # warm the cache entry

@@ -10,11 +10,22 @@ Two evaluation strategies are provided:
   every numpy operation covers all ``n`` tuples, and an and node's
   product takes one operation per coefficient of its lower-degree
   operand, truncated at the horizon ``h``.
-* :func:`prfe_values_tree` — the incremental ``ANDXOR-PRFe-RANK`` algorithm
-  (Algorithm 3): per inner node the numerical values ``F_v(alpha, alpha)``
-  and ``F_v(alpha, 0)`` are maintained and only the two root-paths touched
-  by a relabelling are updated each iteration, giving
-  O(sum_i depth(t_i) + n log n) overall.
+* :func:`prfe_values_tree` / :func:`prfe_values_stacked` —
+  ``ANDXOR-PRFe-RANK`` (Algorithm 3): the PRFe value of the i-th tuple is
+  ``F^i(alpha, alpha) - F^i(alpha, 0)``, the tree's generating function
+  evaluated at numbers under the i-th labelling.  Every labelling row and
+  every alpha are evaluated in one post-order walk of the tree, the nodes
+  of one height and kind together.  A node's value only changes at the
+  rows where a leaf below it changes label (a leaf changes at its own
+  row and the next), so each node stores its value at those rows only:
+  ``O(nodes + n * depth)`` slots per alpha, Algorithm 3's bound, instead
+  of the dense ``n * nodes``.  Xor nodes add up their children's changes
+  with a segmented running sum; and nodes multiply up their children's
+  change ratios with an exact zero count and a mantissa/exponent split
+  (see :func:`_and_values`).  Both running scans double their stride
+  each step, so the work is ``O(log n)`` numpy passes over those slots.
+  :func:`prfe_topk_values_stacked` runs the same walk on growing row
+  prefixes for top-k queries.
 
 Both return values aligned to the score-descending tuple order;
 :func:`rank_tree` wraps them in a :class:`~repro.core.result.RankingResult`
@@ -26,7 +37,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -37,8 +49,11 @@ from .generating import positional_probabilities_tree
 from .tree import AndNode, AndXorTree, LeafNode, Node, XorNode
 
 __all__ = [
+    "PRFeLayout",
     "prf_values_tree",
+    "prfe_values_stacked",
     "prfe_values_tree",
+    "prfe_topk_values_stacked",
     "prfe_topk_values_tree",
     "prfe_values_tree_recompute",
     "rank_tree",
@@ -74,298 +89,471 @@ def prf_values_tree(
 
 
 # ---------------------------------------------------------------------------
-# Incremental PRFe evaluation (Algorithm 3)
+# Stacked PRFe evaluation (Algorithm 3 over rows x alpha)
 # ---------------------------------------------------------------------------
-class _IndexedTree:
-    """Mutable, array-indexed view of an and/xor tree for incremental updates."""
+_LEAF, _AND, _XOR = 0, 1, 2
 
-    KIND_LEAF = 0
-    KIND_AND = 1
-    KIND_XOR = 2
+#: Bound on ``slots * 2 * alphas`` of one stacked evaluation: longer alpha
+#: lists run in alpha chunks.  Alphas never mix, so chunking changes no bit.
+_STACK_ELEMENTS = 1 << 22
+
+#: Smallest row prefix :func:`prfe_topk_values_stacked` evaluates; later
+#: prefixes double until the bound certifies or every row is covered.
+_TOPK_MIN_ROWS = 64
+
+#: Doubling-scan steps between renormalizations of an and node's mantissas.
+_RENORMALIZE_STEPS = 8
+
+
+class PRFeLayout:
+    """The alpha-independent flat form of an and/xor tree for stacked PRFe.
+
+    Nodes are numbered by ``(height, kind, pre-order)``: leaves (height 1)
+    come first in tree order, and the inner nodes of one height and kind
+    form a contiguous id range evaluated together.  Per node the layout
+    keeps the parent, the probability on the edge to it and the initial
+    value ``F_v(1, 1)`` (every leaf labelled 1, the state before row 0);
+    per leaf its position in descending score order, ties broken by tree
+    order as in :meth:`AndXorTree.sorted_tuples`.  :meth:`plan` adds the
+    row structure of a prefix of the labelling rows.
+    """
 
     def __init__(self, tree: AndXorTree) -> None:
-        self.kinds: list[int] = []
-        self.parents: list[int] = []
-        self.edge_probability: list[float] = []  # probability on the edge to the parent
-        self.children: list[list[int]] = []
-        self.leaf_index: dict[Any, int] = {}
-        self.none_probability: list[float] = []
-        self._build(tree.root, parent=-1, probability=1.0)
-
-    def _build(self, node: Node, parent: int, probability: float) -> int:
-        index = len(self.kinds)
-        if isinstance(node, LeafNode):
-            kind = self.KIND_LEAF
-        elif isinstance(node, AndNode):
-            kind = self.KIND_AND
-        else:
-            kind = self.KIND_XOR
-        self.kinds.append(kind)
-        self.parents.append(parent)
-        self.edge_probability.append(probability)
-        self.children.append([])
-        self.none_probability.append(
-            node.none_probability if isinstance(node, XorNode) else 0.0
-        )
-        if isinstance(node, LeafNode):
-            self.leaf_index[node.tid] = index
-        elif isinstance(node, AndNode):
-            for child in node.children:
-                child_index = self._build(child, index, 1.0)
-                self.children[index].append(child_index)
-        else:
-            assert isinstance(node, XorNode)
-            for edge_probability, child in node.children:
-                child_index = self._build(child, index, edge_probability)
-                self.children[index].append(child_index)
-        return index
-
-
-_SCALE = 2.0**256
-_SCALE_INV = 2.0**-256
-
-
-class _GuardedProduct:
-    """Product of child values that tolerates zeros and extreme magnitudes.
-
-    And nodes update their value by multiplying in the new child value
-    and dividing out the old one.  Two hazards guard this arithmetic:
-
-    * an exactly-zero child would poison the product, so zeros are
-      counted separately and the stored product only covers the non-zero
-      factors.  Classification is exact (``value == 0``): the previous
-      absolute ``1e-300`` cutoff also swallowed tiny *non-zero* values,
-      erasing every PRFe value downstream of a deep subtree with tiny
-      leaf probabilities; the guard is now relative to the running
-      magnitude instead, via the mantissa/scale split below.
-    * a long run of small (or large) factors would under- or overflow
-      the stored double, silently collapsing the product to ``0.0`` (or
-      ``inf``) in a way later divisions can never undo.  The product is
-      therefore kept in normalized form ``mantissa * 2**(256 * scale)``:
-      factors and the mantissa are rescaled by exact powers of two into
-      ``[2**-256, 2**256]`` before combining, so no intermediate ever
-      leaves the representable range.
-
-    Power-of-two rescaling is exact in binary floating point, so
-    whenever the true product is representable the value returned is
-    bit-identical to the unguarded computation.
-    """
-
-    __slots__ = ("mantissa", "scale", "zero_count")
-
-    def __init__(self) -> None:
-        self.mantissa: complex = 1.0
-        self.scale: int = 0
-        self.zero_count: int = 0
-
-    @staticmethod
-    def _normalized(value: complex) -> tuple[complex, int]:
-        """``value`` rescaled into ``[2**-256, 2**256]`` plus its scale offset."""
-        offset = 0
-        magnitude = abs(value)
-        if not math.isfinite(magnitude):
-            return value, 0
-        while magnitude > _SCALE:
-            value *= _SCALE_INV
-            offset += 1
-            magnitude = abs(value)
-        while magnitude < _SCALE_INV:
-            value *= _SCALE
-            offset -= 1
-            magnitude = abs(value)
-        return value, offset
-
-    def _renormalize(self) -> None:
-        if not (_SCALE_INV <= abs(self.mantissa) <= _SCALE):
-            self.mantissa, offset = self._normalized(self.mantissa)
-            self.scale += offset
-
-    def multiply(self, value: complex) -> None:
-        if value == 0:
-            self.zero_count += 1
-            return
-        value, offset = self._normalized(value)
-        self.mantissa *= value
-        self.scale += offset
-        self._renormalize()
-
-    def divide(self, value: complex) -> None:
-        if value == 0:
-            self.zero_count -= 1
-            return
-        value, offset = self._normalized(value)
-        self.mantissa /= value
-        self.scale -= offset
-        self._renormalize()
-
-    def value(self) -> complex:
-        if self.zero_count > 0:
-            return 0.0
-        result = self.mantissa
-        # Re-apply the scale stepwise; readout may under- or overflow, but
-        # only when the true product itself lies outside double range.
-        for _ in range(abs(self.scale)):
-            result *= _SCALE if self.scale > 0 else _SCALE_INV
-            if result == 0:
-                break
-        return result
-
-
-def _prfe_alpha_value(alpha: complex) -> tuple[complex, type]:
-    # Same normalization the pre-refactor prfe_values_tree applied inline:
-    # a real (or zero-imaginary-complex) alpha runs the float arithmetic.
-    use_complex = isinstance(alpha, complex) and alpha.imag != 0.0
-    alpha_value: complex = complex(alpha) if use_complex else float(np.real(alpha))
-    return alpha_value, (complex if use_complex else float)
-
-
-def _prfe_steps(tree: AndXorTree, ordered: list[Tuple], alpha_value, dtype):
-    """Per-iteration stream of Algorithm 3 over ``ordered``.
-
-    Yields one ``(value, prefix_expectation)`` pair per score-sorted leaf:
-    ``value = F^i(alpha, alpha) - F^i(alpha, 0)`` is the leaf's PRFe value
-    and ``prefix_expectation = F^i(alpha, alpha)`` — the root value with
-    every leaf of the examined prefix labelled ``alpha`` — equals
-    ``E[alpha^{C_{i+1}}]`` where ``C_{i+1}`` counts the present tuples
-    among the ``i + 1`` highest-score leaves.  The full evaluator sums the
-    stream to the end; the top-k evaluator stops once the running k-th
-    best value beats ``alpha * prefix_expectation``, the upper bound on
-    every unexamined leaf's value.  The arithmetic per iteration is
-    exactly the pre-refactor loop body, so consumed prefixes are
-    bit-identical to prefixes of the full evaluation.
-    """
-    indexed = _IndexedTree(tree)
-
-    num_nodes = len(indexed.kinds)
-    # node_value[s][v] with s = 0 for the (alpha, alpha) evaluation and
-    # s = 1 for the (alpha, 0) evaluation.
-    node_value = [np.ones(num_nodes, dtype=dtype) for _ in range(2)]
-    and_products = [
-        [
-            _GuardedProduct() if kind == _IndexedTree.KIND_AND else None
-            for kind in indexed.kinds
+        kinds: list[int] = []
+        parents: list[int] = []
+        edges: list[float] = []
+        initial: list[float] = []
+        depths: list[int] = []
+        scores: list[float] = []
+        stack: list[tuple[Node, int, float]] = [(tree.root, -1, 1.0)]
+        while stack:
+            node, parent, probability = stack.pop()
+            index = len(kinds)
+            parents.append(parent)
+            edges.append(probability)
+            depths.append(depths[parent] + 1 if parent >= 0 else 0)
+            if isinstance(node, LeafNode):
+                kinds.append(_LEAF)
+                initial.append(1.0)
+                scores.append(node.item.score)
+            elif isinstance(node, AndNode):
+                kinds.append(_AND)
+                initial.append(1.0)
+                stack.extend((child, index, 1.0) for child in reversed(node.children))
+            else:
+                assert isinstance(node, XorNode)
+                kinds.append(_XOR)
+                initial.append(node.none_probability)
+                stack.extend((child, index, p) for p, child in reversed(node.children))
+        kind = np.array(kinds, dtype=np.int64)
+        parent = np.array(parents, dtype=np.int64)
+        probability = np.array(edges, dtype=float)
+        value = np.array(initial, dtype=float)
+        depth = np.array(depths, dtype=np.int64)
+        height = np.ones(kind.size, dtype=np.int64)
+        # Deepest nodes first; siblings in tree order, so every initial
+        # value accumulates its children in the order a post-order walk would.
+        for level in range(int(depth.max()), 0, -1):
+            nodes = np.flatnonzero(depth == level)
+            up = parent[nodes]
+            np.maximum.at(height, up, height[nodes] + 1)
+            xor = kind[up] == _XOR
+            np.add.at(value, up[xor], probability[nodes[xor]] * value[nodes[xor]])
+            np.multiply.at(value, up[~xor], value[nodes[~xor]])
+        new_to_old = np.lexsort((np.arange(kind.size), kind, height))
+        old_to_new = np.empty_like(new_to_old)
+        old_to_new[new_to_old] = np.arange(kind.size)
+        parent = parent[new_to_old]
+        self.kind = kind[new_to_old]
+        self.parent = np.where(parent >= 0, old_to_new[parent], -1)
+        self.probability = probability[new_to_old]
+        self.initial = value[new_to_old]
+        self.root = int(old_to_new[0])
+        self.n = len(scores)
+        order = np.argsort(-np.array(scores, dtype=float), kind="stable")
+        self.position = np.empty(self.n, dtype=np.int64)
+        self.position[order] = np.arange(self.n)
+        key = height[new_to_old] * 3 + self.kind
+        bounds = np.append(np.flatnonzero(np.diff(key, prepend=-1)), key.size)
+        #: ``(kind, first id, stop id)`` of every inner group, by ascending height.
+        self.groups = [
+            (int(self.kind[first]), int(first), int(stop))
+            for first, stop in zip(bounds[:-1], bounds[1:])
+            if self.kind[first] != _LEAF
         ]
-        for _ in range(2)
-    ]
+        self._plans: dict[int, _RowPlan] = {}
 
-    # Initial pass: every leaf carries the constant label 1 (value 1 at both
-    # evaluation points).  Nodes are indexed in pre-order, so children have
-    # larger indices than their parent and a decreasing-index sweep visits
-    # children before parents.
-    for index in range(num_nodes - 1, -1, -1):
-        kind = indexed.kinds[index]
-        if kind == _IndexedTree.KIND_LEAF:
-            for s in range(2):
-                node_value[s][index] = 1.0
-            continue
-        if kind == _IndexedTree.KIND_AND:
-            for s in range(2):
-                product = and_products[s][index]
-                for child in indexed.children[index]:
-                    product.multiply(node_value[s][child])
-                node_value[s][index] = product.value()
-            continue
-        # xor node
-        for s in range(2):
-            total = indexed.none_probability[index]
-            for child in indexed.children[index]:
-                total += indexed.edge_probability[child] * node_value[s][child]
-            node_value[s][index] = total
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the layout, its kept plans included."""
+        arrays = (self.kind, self.parent, self.probability, self.initial, self.position)
+        plans = sum(plan.nbytes for plan in list(self._plans.values()))
+        return sum(array.nbytes for array in arrays) + plans
 
-    def update_path(leaf: int, new_values: tuple[complex, complex]) -> None:
-        """Propagate a leaf relabelling along its root path."""
-        old_values = [node_value[s][leaf] for s in range(2)]
-        for s in range(2):
-            node_value[s][leaf] = new_values[s]
-        child = leaf
-        parent = indexed.parents[leaf]
-        child_old = old_values
-        child_new = list(new_values)
-        while parent >= 0:
-            parent_old = [node_value[s][parent] for s in range(2)]
-            if indexed.kinds[parent] == _IndexedTree.KIND_AND:
-                for s in range(2):
-                    product = and_products[s][parent]
-                    product.divide(child_old[s])
-                    product.multiply(child_new[s])
-                    node_value[s][parent] = product.value()
-            else:  # xor
-                probability = indexed.edge_probability[child]
-                for s in range(2):
-                    node_value[s][parent] = node_value[s][parent] + probability * (
-                        child_new[s] - child_old[s]
-                    )
-            child_old = parent_old
-            child_new = [node_value[s][parent] for s in range(2)]
-            child = parent
-            parent = indexed.parents[parent]
+    def plan(self, rows: int) -> "_RowPlan":
+        """The row structure of labelling rows ``0 .. rows - 1``, built once per ``rows``.
 
-    root = 0
-    for i, t in enumerate(ordered):
-        if i > 0:
-            previous_leaf = indexed.leaf_index[ordered[i - 1].tid]
-            update_path(previous_leaf, (alpha_value, alpha_value))
-        leaf = indexed.leaf_index[t.tid]
-        update_path(leaf, (alpha_value, 0.0))
-        yield node_value[0][root] - node_value[1][root], node_value[0][root]
+        Callers ask for ``n`` rows and for power-of-two prefixes, so the
+        kept plans hold at most about twice the full plan's indices.
+        """
+        plan = self._plans.get(rows)
+        if plan is None:
+            plan = self._plans.setdefault(rows, _RowPlan(self, rows))
+        return plan
+
+
+@dataclass(frozen=True)
+class _Group:
+    """The inner nodes of one height and kind: slots ``[lo, hi)`` of the stack.
+
+    ``src`` lists the (absolute) slot of every child breakpoint, ``dst``
+    its parent's slot at the same row, relative to ``lo``, and ``weight``
+    the child's edge probability.  The events are sorted into rounds,
+    ``rounds[r]:rounds[r + 1]`` holding each parent slot's ``r``-th event
+    by child order (a row relabels two leaves, so there are at most two
+    rounds); a parent slot's events apply round by round.  ``init`` and
+    ``initial`` give each node's initial slot (relative) and value,
+    ``owner`` every slot's node's initial slot, and ``masks[s]`` flags the
+    slots at least ``2**s`` after their node's initial slot (the
+    doubling-scan steps; ``None`` when every slot from ``2**s`` on is
+    flagged).
+    """
+
+    xor: bool
+    lo: int
+    hi: int
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+    rounds: list[int]
+    init: np.ndarray
+    initial: np.ndarray
+    owner: np.ndarray
+    masks: list[np.ndarray | None]
+
+
+class _RowPlan:
+    """Where every node's value changes over the labelling rows ``0 .. rows - 1``.
+
+    Row ``i`` labels the leaves at sorted positions ``< i`` with ``x``, the
+    leaf at ``i`` with ``y`` and the rest with 1, so a leaf changes value
+    only at rows ``pos`` and ``pos + 1`` (its *breakpoints*) and an inner
+    node only at its leaves' breakpoints.  Each node owns one slot for its
+    initial value followed by one per breakpoint, ascending by row:
+    storage is ``O(nodes + rows * depth)``, Algorithm 3's bound, not
+    ``rows * nodes``.  Every breakpoint of a non-root node is an *event*
+    of its parent: at that row the child moves from the slot before to its
+    own.  A plan of a row prefix holds exactly the full plan's slots of
+    rows below it, in the same order.
+    """
+
+    def __init__(self, layout: PRFeLayout, rows: int) -> None:
+        n = layout.n
+        nodes = np.concatenate([np.arange(n), np.arange(n)])
+        at = np.concatenate([layout.position, layout.position + 1])
+        keep = at < rows
+        nodes, at = nodes[keep], at[keep]
+        parts = []
+        while nodes.size:
+            parts.append(nodes * rows + at)
+            up = layout.parent[nodes]
+            keep = up >= 0
+            nodes, at = up[keep], at[keep]
+        keys = np.unique(np.concatenate(parts))
+        node, row = np.divmod(keys, rows)
+        count = layout.kind.size
+        # Breakpoint ``u`` sits after the initial slots of nodes ``0 ..
+        # node[u]`` and the ``u`` breakpoints before it.
+        start = np.arange(count) + np.searchsorted(node, np.arange(count))
+        slot = np.arange(keys.size) + node + 1
+        self.slots = count + keys.size
+        leaf = node < n
+        pos = layout.position[node[leaf]]
+        #: Leaf slots: initial (value 1), own row (``(alpha, 0)``), next row
+        #: (``(alpha, alpha)``).
+        self.leaf_start = start[:n]
+        self.leaf_y = slot[leaf][row[leaf] == pos]
+        self.leaf_x = slot[leaf][row[leaf] != pos]
+        #: The root's slot at every row (the root changes at each one).
+        self.root = start[layout.root] + 1 + np.arange(rows)
+        up = layout.parent[node]
+        event = up >= 0
+        up, src = up[event], slot[event]
+        dst = np.searchsorted(keys, up * rows + row[event]) + up + 1
+        weight = layout.probability[node[event]]
+        order = np.lexsort((src, dst))
+        src, dst, weight = src[order], dst[order], weight[order]
+        # Each event's rank among its parent slot's events.
+        first = np.flatnonzero(np.diff(dst, prepend=-1))
+        rounds = np.arange(dst.size) - np.repeat(first, np.diff(np.append(first, dst.size)))
+        bounds = np.append(start, self.slots)
+        self.groups = []
+        for kind, first_id, stop_id in layout.groups:
+            lo, hi = int(bounds[first_id]), int(bounds[stop_id])
+            a, b = np.searchsorted(dst, [lo, hi])
+            slots = np.arange(lo, hi)
+            owner = start[np.searchsorted(start, slots, side="right") - 1]
+            offset = slots - owner
+            chosen = a + np.argsort(rounds[a:b], kind="stable")
+            counts = np.bincount(rounds[a:b])
+            masks = []
+            step = 1
+            while step <= offset.max():
+                mask = offset[step:] >= step
+                masks.append(None if mask.all() else mask[:, None, None])
+                step *= 2
+            self.groups.append(
+                _Group(
+                    xor=kind == _XOR,
+                    lo=lo,
+                    hi=hi,
+                    src=src[chosen],
+                    dst=dst[chosen] - lo,
+                    weight=weight[chosen],
+                    rounds=[0, *np.cumsum(counts).tolist()],
+                    init=start[first_id:stop_id] - lo,
+                    initial=layout.initial[first_id:stop_id],
+                    owner=owner - lo,
+                    masks=masks,
+                )
+            )
+        arrays = [self.leaf_start, self.leaf_y, self.leaf_x, self.root]
+        for group in self.groups:
+            arrays += [group.src, group.dst, group.weight, group.init, group.owner]
+            arrays += [mask for mask in group.masks if mask is not None]
+        #: Bytes held by the plan's index arrays.
+        self.nbytes = sum(array.nbytes for array in arrays)
+
+
+def _split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ``values = mantissa * 2**exponent``, the mantissa's larger part in [0.5, 1).
+
+    Complex values share one exponent between their real and imaginary
+    parts.  Scaling by a power of two is exact, so nothing is rounded.
+    """
+    if not np.iscomplexobj(values):
+        return np.frexp(values)
+    _, exponent = np.frexp(np.maximum(np.abs(values.real), np.abs(values.imag)))
+    mantissa = np.empty_like(values)
+    mantissa.real = np.ldexp(values.real, -exponent)
+    mantissa.imag = np.ldexp(values.imag, -exponent)
+    return mantissa, exponent
+
+
+def _join(mantissa: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """``mantissa * 2**exponent``, rounded once (to a subnormal, zero or inf if it must)."""
+    if not np.iscomplexobj(mantissa):
+        return np.ldexp(mantissa, exponent)
+    value = np.empty_like(mantissa)
+    value.real = np.ldexp(mantissa.real, exponent)
+    value.imag = np.ldexp(mantissa.imag, exponent)
+    return value
+
+
+def _xor_values(group: _Group, stack: np.ndarray) -> np.ndarray:
+    """Xor nodes: the initial value plus the running sum of ``p * (new - old)``.
+
+    The running sum is a segmented Hillis–Steele scan: step ``2**s`` adds
+    to every slot the one ``2**s`` before it in the same node.  A slot's
+    result depends only on its node's slots up to it and on its offset,
+    so a row-prefix plan reproduces the full plan's bits, and every alpha
+    column goes through the same elementwise operations whatever else is
+    stacked.
+    """
+    values = np.empty((group.hi - group.lo, *stack.shape[1:]), dtype=stack.dtype)
+    values[group.init] = group.initial[:, None, None]
+    change = group.weight[:, None, None] * (stack[group.src] - stack[group.src - 1])
+    for r, (a, b) in enumerate(zip(group.rounds, group.rounds[1:])):
+        if r:
+            values[group.dst[a:b]] += change[a:b]
+        else:
+            values[group.dst[a:b]] = change[a:b]
+    for step, mask in enumerate(group.masks):
+        shift = 1 << step
+        values[shift:] += values[:-shift] if mask is None else np.where(mask, values[:-shift], 0)
+    return values
+
+
+def _and_values(group: _Group, stack: np.ndarray) -> np.ndarray:
+    """And nodes: the running product of the children's ``new / old`` ratios.
+
+    Two hazards guard the product.  An exactly-zero child would poison
+    it, so zeros are counted per slot, exactly, in integers, and left out
+    of the product.  A long run of small (or large) factors would under-
+    or overflow a plain running product, so it is kept as a mantissa and
+    an integer exponent.  Every slot's mantissa starts within ``2**±3`` (at most two
+    ratios of mantissas from :func:`_split`), and a scan step multiplies
+    two slots, so ``k`` steps after the mantissas were last all
+    renormalized each is a product of at most ``2**k`` such factors.
+    Renormalizing every slot with :func:`_split` every
+    ``_RENORMALIZE_STEPS`` (8) steps keeps them inside ``2**±768``, where
+    power-of-two scaling is exact, so the schedule changes no bit.  The
+    value is rebuilt once per slot, exact to rounding whenever the true
+    product is representable.  The scan is the doubling scan of
+    :func:`_xor_values`.
+    """
+    shape = (group.hi - group.lo, *stack.shape[1:])
+    mantissa = np.empty(shape, dtype=stack.dtype)
+    exponent = np.empty(shape, dtype=np.int64)
+    zeros = np.zeros(shape, dtype=np.int64)
+    initial_mantissa, initial_exponent = np.frexp(group.initial)
+    mantissa[group.init] = initial_mantissa[:, None, None]
+    exponent[group.init] = initial_exponent[:, None, None]
+    new, old = stack[group.src], stack[group.src - 1]
+    new_zero, old_zero = new == 0, old == 0
+    new_mantissa, new_exponent = _split(np.where(new_zero, 1, new))
+    old_mantissa, old_exponent = _split(np.where(old_zero, 1, old))
+    ratio = new_mantissa / old_mantissa
+    scale = new_exponent - old_exponent
+    count = new_zero.astype(np.int64) - old_zero
+    for r, (a, b) in enumerate(zip(group.rounds, group.rounds[1:])):
+        dst = group.dst[a:b]
+        if r:
+            mantissa[dst] *= ratio[a:b]
+            exponent[dst] += scale[a:b]
+            zeros[dst] += count[a:b]
+        else:
+            mantissa[dst] = ratio[a:b]
+            exponent[dst] = scale[a:b]
+            zeros[dst] = count[a:b]
+    # Zero counts are integers: a plain running sum per node is exact.
+    zeros = np.cumsum(zeros, axis=0)
+    zeros -= zeros[group.owner]
+    for step, mask in enumerate(group.masks):
+        shift = 1 << step
+        product = mantissa[:-shift] * mantissa[shift:]
+        total = exponent[:-shift] + exponent[shift:]
+        if mask is None:
+            mantissa[shift:], exponent[shift:] = product, total
+        else:
+            mantissa[shift:] = np.where(mask, product, mantissa[shift:])
+            exponent[shift:] = np.where(mask, total, exponent[shift:])
+        if step % _RENORMALIZE_STEPS == _RENORMALIZE_STEPS - 1:
+            mantissa, carry = _split(mantissa)
+            exponent += carry
+    return np.where(zeros > 0, 0, _join(mantissa, exponent))
+
+
+def _root_values(plan: _RowPlan, alphas: np.ndarray) -> np.ndarray:
+    """``(rows, 2, A)``: ``F^i(alpha, alpha)`` and ``F^i(alpha, 0)`` at the root.
+
+    One post-order walk over the plan's groups, every row and every
+    alpha of ``alphas`` (one dtype) at once.
+    """
+    stack = np.empty((plan.slots, 2, alphas.size), dtype=alphas.dtype)
+    stack[plan.leaf_start] = 1.0
+    stack[plan.leaf_y, 0] = alphas
+    stack[plan.leaf_y, 1] = 0.0
+    stack[plan.leaf_x] = alphas
+    for group in plan.groups:
+        evaluate = _xor_values if group.xor else _and_values
+        stack[group.lo : group.hi] = evaluate(group, stack)
+    return stack[plan.root]
+
+
+def _alpha_value(alpha: complex) -> complex:
+    """The arithmetic ``alpha`` runs in: float unless its imaginary part is nonzero."""
+    if isinstance(alpha, complex) and alpha.imag != 0.0:
+        return complex(alpha)
+    return float(np.real(alpha))
+
+
+def prfe_values_stacked(layout: PRFeLayout, alphas: Sequence[complex]) -> list[np.ndarray]:
+    """PRFe values of every score-sorted leaf, one array per alpha.
+
+    ``values[i] = F^i(alpha, alpha) - F^i(alpha, 0)``.  Real alphas (and
+    complex ones with zero imaginary part) run in float arithmetic, the
+    others in complex; each kind runs in one stacked evaluation (alpha
+    chunks bounded by ``_STACK_ELEMENTS``).  A column's arithmetic does not
+    depend on the other alphas, so every alpha gets the same bits alone
+    or stacked.
+    """
+    values = [_alpha_value(alpha) for alpha in alphas]
+    columns = [np.zeros(0, dtype=type(value)) for value in values]
+    if layout.n == 0:
+        return columns
+    plan = layout.plan(layout.n)
+    step = max(1, _STACK_ELEMENTS // (2 * plan.slots))
+    for dtype in (float, complex):
+        indices = [i for i, value in enumerate(values) if type(value) is dtype]
+        for chunk in range(0, len(indices), step):
+            part = indices[chunk : chunk + step]
+            root = _root_values(plan, np.array([values[i] for i in part], dtype=dtype))
+            difference = root[:, 0] - root[:, 1]
+            for column, i in enumerate(part):
+                columns[i] = difference[:, column].copy()
+    return columns
 
 
 def prfe_values_tree(
     tree: AndXorTree, alpha: complex
 ) -> tuple[list[Tuple], np.ndarray]:
-    """PRFe(alpha) values of every leaf by the incremental Algorithm 3.
+    """PRFe(alpha) values of every leaf by the stacked Algorithm 3.
 
     Returns ``(sorted_tuples, values)`` with
     ``values[i] = F^i(alpha, alpha) - F^i(alpha, 0)``, i.e. the PRFe value
     of the i-th tuple in descending-score order.
     """
-    ordered = tree.sorted_tuples()
-    alpha_value, dtype = _prfe_alpha_value(alpha)
-    values = np.zeros(len(ordered), dtype=dtype)
-    for i, (value, _) in enumerate(_prfe_steps(tree, ordered, alpha_value, dtype)):
-        values[i] = value
-    return ordered, values
+    return tree.sorted_tuples(), prfe_values_stacked(PRFeLayout(tree), [alpha])[0]
+
+
+def prfe_topk_values_stacked(
+    layout: PRFeLayout, alpha: float, k: int, safety: float = 1.0 + 1e-9
+) -> tuple[np.ndarray, int, float]:
+    """Row-prefix evaluation of a real-alpha top-k query.
+
+    Evaluates rows ``0 .. m - 1``, ``m`` the least power of two no smaller
+    than ``k`` and ``_TOPK_MIN_ROWS``, then doubles ``m``.  After each
+    prefix the new rows are scanned in order against the running k best
+    ``|value|``, and the scan stops at the first row ``i`` where the k-th
+    best strictly exceeds ``safety * alpha * F^i(alpha, alpha)`` — an
+    upper bound on every later leaf's value (any such leaf requires its
+    ``D >= C_{i+1}`` higher-score leaves present, and ``alpha < 1``
+    decays geometrically in the count).  The ``safety`` inflation absorbs
+    the rounding of the bound itself.  Returns
+    ``(values_prefix, examined, bound)`` with ``bound`` the last bound
+    evaluated (an upper bound on every leaf beyond the examined prefix,
+    reusable to certify other ``k`` against the same prefix).  A prefix
+    plan computes exactly the full plan's bits, so the values are the
+    same slice of :func:`prfe_values_stacked`.
+    """
+    n = layout.n
+    alpha_value = float(np.real(alpha))
+    alphas = np.array([alpha_value])
+    best: list[float] = []
+    bound = math.inf
+    values = np.zeros(0)
+    # Power-of-two prefixes: the layout keeps one plan per prefix length.
+    done, rows = 0, min(n, 1 << (max(k, _TOPK_MIN_ROWS) - 1).bit_length())
+    while done < rows:
+        root = _root_values(layout.plan(rows), alphas)[:, :, 0]
+        values = root[:, 0] - root[:, 1]
+        magnitudes = np.abs(values[done:]).tolist()
+        expectations = root[done:, 0].tolist()
+        for i, magnitude, expectation in zip(range(done, rows), magnitudes, expectations):
+            if len(best) < k:
+                heapq.heappush(best, magnitude)
+            elif magnitude > best[0]:
+                heapq.heapreplace(best, magnitude)
+            if len(best) == k > 0 and i + 1 < n:
+                bound = safety * alpha_value * expectation
+                if best[0] > bound:
+                    return values[: i + 1], i + 1, bound
+        done, rows = rows, min(n, 2 * rows)
+    return values, n, bound
 
 
 def prfe_topk_values_tree(
     tree: AndXorTree, alpha: float, k: int, safety: float = 1.0 + 1e-9
 ) -> tuple[list[Tuple], np.ndarray, int, float]:
-    """Early-terminated Algorithm 3 for a real-alpha top-k query.
+    """Early-terminated PRFe for a real-alpha top-k query.
 
-    Consumes :func:`_prfe_steps` leaf by leaf and stops once the k-th
-    largest confirmed ``|value|`` strictly exceeds ``safety * alpha *
-    F^i(alpha, alpha)`` — an upper bound on every unexamined leaf's value
-    (any such leaf requires its ``D >= C_{i+1}`` higher-score leaves
-    present, and ``alpha < 1`` decays geometrically in the count).  The
-    ``safety`` inflation absorbs the guarded-product rounding of the
-    bound itself.  Returns ``(sorted_tuples, values_prefix, examined,
-    bound)`` with ``bound`` the last bound evaluated (an upper bound on
-    every leaf beyond the examined prefix, reusable to certify other
-    ``k`` against the same prefix); the prefix values are bit-identical
-    to the same slice of :func:`prfe_values_tree`.
+    Returns ``(sorted_tuples, values_prefix, examined, bound)`` as
+    :func:`prfe_topk_values_stacked` computes them; the prefix values are
+    bit-identical to the same slice of :func:`prfe_values_tree`.
     """
-    ordered = tree.sorted_tuples()
-    n = len(ordered)
-    alpha_value, dtype = _prfe_alpha_value(alpha)
-    values = np.zeros(n, dtype=dtype)
-    best: list[float] = []
-    examined = 0
-    bound = math.inf
-    for i, (value, prefix_expectation) in enumerate(
-        _prfe_steps(tree, ordered, alpha_value, dtype)
-    ):
-        values[i] = value
-        examined = i + 1
-        magnitude = abs(float(value))
-        if len(best) < k:
-            heapq.heappush(best, magnitude)
-        elif magnitude > best[0]:
-            heapq.heapreplace(best, magnitude)
-        if len(best) == k and examined < n:
-            bound = safety * float(alpha_value) * float(prefix_expectation)
-            if best[0] > bound:
-                break
-    return ordered, values[:examined], examined, bound
+    values, examined, bound = prfe_topk_values_stacked(PRFeLayout(tree), alpha, k, safety)
+    return tree.sorted_tuples(), values, examined, bound
 
 
 def prfe_values_tree_recompute(
@@ -375,13 +563,12 @@ def prfe_values_tree_recompute(
 
     For every tuple the full generating function is re-evaluated at
     ``(alpha, alpha)`` and ``(alpha, 0)`` — an O(n * |tree|) strategy that
-    Algorithm 3 improves on by sharing work across iterations.
+    the stacked Algorithm 3 improves on by touching each node only at the
+    rows where a leaf below it changes label.
     """
     ordered = tree.sorted_tuples()
-    use_complex = isinstance(alpha, complex) and alpha.imag != 0.0
-    alpha_value: complex = complex(alpha) if use_complex else float(np.real(alpha))
-    dtype = complex if use_complex else float
-    values = np.zeros(len(ordered), dtype=dtype)
+    alpha_value = _alpha_value(alpha)
+    values = np.zeros(len(ordered), dtype=type(alpha_value))
     labels: dict[Any, object] = {}
 
     def evaluate(node: Node, y_value: complex) -> complex:
@@ -420,9 +607,10 @@ def rank_tree(tree: AndXorTree, rf: RankingFunction, name: str = "") -> RankingR
         return RankingResult.from_values(ordered, values.tolist(), name=name or tree.name)
     if isinstance(rf, LinearCombinationPRFe):
         ordered = tree.sorted_tuples()
+        terms = rf.terms()
+        columns = prfe_values_stacked(PRFeLayout(tree), [alpha for _, alpha in terms])
         total = np.zeros(len(ordered), dtype=complex)
-        for coefficient, alpha in rf.terms():
-            _, values = prfe_values_tree(tree, alpha)
+        for (coefficient, _), values in zip(terms, columns):
             total = total + coefficient * values.astype(complex)
         return RankingResult.from_values(ordered, total.tolist(), name=name or tree.name)
     ordered, values = prf_values_tree(tree, rf)

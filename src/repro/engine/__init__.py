@@ -5,8 +5,8 @@ datasets of *any* supported correlation model — tuple-independent
 relations, and/xor trees, and bounded-treewidth Markov networks.  A
 planner detects the model of each input and routes execution through a
 pluggable :class:`~repro.engine.backends.RankingBackend` (stacked
-numpy kernels for independent relations, generating functions plus the
-incremental Algorithm 3 for trees, junction-tree dynamic programs for
+numpy kernels for independent relations, generating functions plus a
+stacked Algorithm 3 for trees, junction-tree dynamic programs for
 networks), all sharing one LRU cache keyed on dataset content
 fingerprints: sorted orders, prefix and positional matrices, memoized
 PRFe value vectors and calibrated junction trees survive across calls.

@@ -168,8 +168,10 @@ def plan_approx(
         if bound <= budget:
             # Doubling overshoots: the smallest certifying request lies
             # in (terms // 2, terms].  Planning cost is a few more DFTs
-            # over the weight table — negligible against the per-term
-            # cumulative product it saves at execution time.
+            # plus one error_bound per attempt, and it is not negligible:
+            # on the Gaussian weight of support 2000 at n = 10^5 the
+            # error_bound calls (8 of them) take ~82 of the ~103 ms the
+            # whole approx= query takes (2-core x86).
             low, high = terms // 2 + 1, terms
             while low < high:
                 middle = (low + high) // 2

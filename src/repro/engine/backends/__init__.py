@@ -6,8 +6,8 @@ One backend per correlation model of the paper:
   batched vectorized kernels (closed-form PRFe, stacked prefix
   generating-function matrices).
 * :class:`AndXorBackend` — and/xor trees through generating functions
-  and the incremental Algorithm 3 PRFe path, with per-alpha value
-  memoization.
+  and Algorithm 3 PRFe as one stacked walk over rows x alpha, with
+  per-alpha value memoization.
 * :class:`MarkovBackend` — bounded-treewidth Markov networks through the
   junction-tree dynamic program with calibrated-tree reuse.
 

@@ -1,14 +1,18 @@
-"""The and/xor-tree backend — generating functions plus incremental PRFe.
+"""The and/xor-tree backend — generating functions plus stacked PRFe.
 
 Evaluation strategy per ranking-function spec (Sections 4.2/4.3):
 
-* PRFe(alpha) — the incremental ``ANDXOR-PRFe-RANK`` Algorithm 3
-  (O(sum_i depth(t_i) + n log n)); the resulting value vector is
-  memoized per ``alpha`` on the tree's cache entry, so ranking the same
-  tree again (alpha sweeps, repeated batches) skips the tree walk
-  entirely.
-* LinearCombinationPRFe — one memoized Algorithm 3 pass per term,
-  combined exactly as the legacy entry point does.
+* PRFe(alpha) — ``ANDXOR-PRFe-RANK`` (Algorithm 3) as one stacked
+  numeric walk of the tree: every labelling row and every alpha of a
+  batch at once, each node's value stored only at the rows where a leaf
+  below it changes label (:func:`~repro.andxor.ranking.prfe_values_stacked`).
+  The alpha-independent :class:`~repro.andxor.ranking.PRFeLayout` is
+  built once per cache entry, and each alpha's value vector is memoized
+  on the entry, so alpha sweeps and repeated batches skip the walk.
+  :meth:`AndXorBackend.rank_many` gathers every alpha of its specs that
+  is not memoized yet into one kernel call.
+* LinearCombinationPRFe — its terms' alphas share that call; the columns
+  are combined exactly as the legacy entry point does.
 * General weights — positional probabilities from the tree's generating
   functions, all tuples built in one stacked tree walk
   (:func:`~repro.andxor.generating.positional_probabilities_tree`),
@@ -19,16 +23,18 @@ Evaluation strategy per ranking-function spec (Sections 4.2/4.3):
 
 The cache entry refers to no tree: content-equal trees share it, every
 evaluator runs on the caller's tree, and results carry the caller's leaf
-tuples.  All values are produced by the same :mod:`repro.andxor.ranking`
-evaluators as the legacy :func:`~repro.andxor.ranking.rank_tree`, so the
-rankings are bit-identical.
+tuples.  A PRFe column's arithmetic does not depend on the other alphas
+it is stacked with, so all paths and the legacy
+:func:`~repro.andxor.ranking.rank_tree` produce bit-identical rankings.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from ...andxor.ranking import prf_values_tree, prfe_topk_values_tree, prfe_values_tree
+from ...andxor.ranking import prf_values_tree, prfe_topk_values_stacked, prfe_values_stacked
 from ...andxor.tree import AndXorTree
 from ...core.prf import LinearCombinationPRFe, PRFe, RankingFunction
 from ...core.result import RankingResult
@@ -37,6 +43,15 @@ from ..topk import BOUND_SAFETY, TopKReport, certified, prunable, validated_k
 from .base import CorrelatedBackend, build_result
 
 __all__ = ["AndXorBackend"]
+
+
+def _prfe_alphas(rf: RankingFunction) -> list[complex]:
+    """The PRFe alphas ``rf`` is evaluated from (none for general weights)."""
+    if isinstance(rf, PRFe):
+        return [rf.alpha]
+    if isinstance(rf, LinearCombinationPRFe):
+        return [alpha for _, alpha in rf.terms()]
+    return []
 
 
 class AndXorBackend(CorrelatedBackend):
@@ -51,9 +66,9 @@ class AndXorBackend(CorrelatedBackend):
     def algorithm(self, rf: RankingFunction) -> str:
         """Label of the Table-3 algorithm picked for ``rf``."""
         if isinstance(rf, PRFe):
-            return "andxor-prfe-incremental (Algorithm 3)"
+            return "andxor-prfe-stacked (Algorithm 3 over rows x alpha)"
         if isinstance(rf, LinearCombinationPRFe):
-            return "andxor-prfe-combination (L x Algorithm 3)"
+            return "andxor-prfe-combination (Algorithm 3 over rows x L alphas)"
         return "andxor-generating-function (Theorem 1)"
 
     @staticmethod
@@ -66,13 +81,14 @@ class AndXorBackend(CorrelatedBackend):
     def rank_top_k(
         self, tree: AndXorTree, rf: RankingFunction, k: int, name: str = "", store: bool = True
     ) -> tuple[RankingResult, TopKReport]:
-        """Top ``k`` under ``rf``, early-terminating Algorithm 3.
+        """Top ``k`` under ``rf``, evaluating growing row prefixes.
 
-        For prunable specs the incremental evaluation stops once the
-        k-th best confirmed value beats ``alpha * F^i(alpha, alpha)``
-        (the root value Algorithm 3 already maintains — the bound is
-        free).  A memoized *full* Algorithm 3 value vector, when present,
-        is served directly; an early-terminated prefix is memoized under
+        For prunable specs the stacked kernel runs on rows ``0 .. m - 1``
+        (``m = max(k, 64)``, then doubling) and stops at the first row
+        whose k-th best confirmed value beats ``alpha * F^i(alpha,
+        alpha)`` — the root value the kernel computes anyway, so the
+        bound is free.  A memoized *full* value vector, when present, is
+        served directly; an early-terminated prefix is memoized under
         ``("topk", alpha)`` and promoted to the full memo when it runs to
         the end, so pruned and full requests compose through the same
         cache entry.
@@ -106,45 +122,63 @@ class AndXorBackend(CorrelatedBackend):
             ):
                 values, examined = cached_values, cached_examined
         if values is None:
-            _, values, examined, bound = prfe_topk_values_tree(
-                tree, float(rf.alpha), k, safety=BOUND_SAFETY
+            values, examined, bound = prfe_topk_values_stacked(
+                entry.prfe_layout(tree), float(rf.alpha), k, safety=BOUND_SAFETY
             )
             if store and (memo is None or examined > memo[1]):
                 entry.extras[memo_key] = (values, examined, bound)
             if store and examined == n:
-                # A prefix that ran to the end is the full Algorithm 3
-                # vector — promote it so future full rankings skip the walk.
+                # A prefix that ran to the end is the full value vector —
+                # promote it so future full rankings skip the walk.
                 entry.extras[("prfe", alpha)] = values
         result = build_result(tuples, entry, values, label, k)
         self.cache.enforce_budget()
         return result, TopKReport(k=k, n=n, examined=examined, pruned=examined < n)
 
     def _values(self, tree: AndXorTree, entry: CachedTree, rf: RankingFunction) -> np.ndarray:
-        if isinstance(rf, PRFe):
-            return self._prfe_values(tree, entry, rf.alpha)
-        if isinstance(rf, LinearCombinationPRFe):
-            # Same term-by-term accumulation as the legacy rank_tree path,
-            # with each per-alpha Algorithm 3 pass memoized.
-            total = np.zeros(entry.n, dtype=complex)
-            for coefficient, alpha in rf.terms():
-                values = self._prfe_values(tree, entry, alpha)
-                total = total + coefficient * values.astype(complex)
-            return total
-        limit = self._clamped_limit(entry.n, rf.weight.horizon)
-        matrix = entry.positional_matrix(tree, limit)
-        ordered = entry.sorted_tuples(tree.tuples())
-        _, values = prf_values_tree(tree, rf, positional=(ordered, matrix))
-        return values
+        return self._values_many(tree, entry, [rf])[0]
+
+    def _values_many(
+        self, tree: AndXorTree, entry: CachedTree, rfs: Sequence[RankingFunction]
+    ) -> list[np.ndarray]:
+        """Every spec's values, with all their PRFe alphas in one kernel call."""
+        columns = self._prfe_columns(tree, entry, [a for rf in rfs for a in _prfe_alphas(rf)])
+        results = []
+        for rf in rfs:
+            if isinstance(rf, PRFe):
+                values = columns[complex(rf.alpha)]
+            elif isinstance(rf, LinearCombinationPRFe):
+                # Same term-by-term accumulation as the legacy rank_tree path.
+                values = np.zeros(entry.n, dtype=complex)
+                for coefficient, alpha in rf.terms():
+                    values = values + coefficient * columns[complex(alpha)].astype(complex)
+            else:
+                limit = self._clamped_limit(entry.n, rf.weight.horizon)
+                matrix = entry.positional_matrix(tree, limit)
+                ordered = entry.sorted_tuples(tree.tuples())
+                _, values = prf_values_tree(tree, rf, positional=(ordered, matrix))
+            results.append(values)
+        return results
 
     @staticmethod
-    def _prfe_values(tree: AndXorTree, entry: CachedTree, alpha: complex) -> np.ndarray:
-        """Algorithm 3 values, memoized per alpha on the cache entry."""
-        key = ("prfe", complex(alpha))
-        values = entry.extras.get(key)
-        if values is None:
-            _, values = prfe_values_tree(tree, alpha)
-            entry.extras[key] = values
-        return values
+    def _prfe_columns(
+        tree: AndXorTree, entry: CachedTree, alphas: Sequence[complex]
+    ) -> dict[complex, np.ndarray]:
+        """PRFe values per alpha; the ones not memoized on the entry run in one call."""
+        columns: dict[complex, np.ndarray] = {}
+        missing: list[complex] = []
+        for key in dict.fromkeys(complex(alpha) for alpha in alphas):
+            values = entry.extras.get(("prfe", key))
+            if values is None:
+                missing.append(key)
+            else:
+                columns[key] = values
+        if missing:
+            computed = prfe_values_stacked(entry.prfe_layout(tree), missing)
+            for key, values in zip(missing, computed):
+                entry.extras[("prfe", key)] = values
+                columns[key] = values
+        return columns
 
     # ------------------------------------------------------------------
     # Derived queries

@@ -188,6 +188,10 @@ class CorrelatedBackend(RankingBackend):
     def _values(self, data, entry, rf: RankingFunction) -> np.ndarray:
         """The value of every tuple of ``data`` under ``rf``, score-descending."""
 
+    def _values_many(self, data, entry, rfs: Sequence[RankingFunction]) -> list[np.ndarray]:
+        """:meth:`_values` of every spec; a backend overrides it to share one kernel call."""
+        return [self._values(data, entry, rf) for rf in rfs]
+
     @abstractmethod
     def _cold_distribution(self, data, entry, tid: Any, max_rank: int | None) -> np.ndarray:
         """One tuple's rank distribution without a cached positional matrix."""
@@ -206,7 +210,10 @@ class CorrelatedBackend(RankingBackend):
         entry = self.entry(data)
         tuples = self._tuples(data)
         label = name or data.name
-        results = [build_result(tuples, entry, self._values(data, entry, rf), label) for rf in rfs]
+        results = [
+            build_result(tuples, entry, values, label)
+            for values in self._values_many(data, entry, rfs)
+        ]
         self.cache.enforce_budget()
         return results
 

@@ -16,8 +16,9 @@ entry type exists per correlation model:
   values.
 * :class:`CachedTree` (and/xor correlations): the score-descending
   order and scores, the positional-probability matrix obtained from the
-  tree's generating functions, and memoized PRFe value vectors of the
-  incremental Algorithm 3 (keyed by ``alpha``).
+  tree's generating functions, the alpha-independent layout of the
+  stacked PRFe kernel (Algorithm 3 over rows x alpha) and its memoized
+  value vectors (keyed by ``alpha``).
 * :class:`CachedNetwork` (Markov networks): the score-descending order
   and scores, the junction tree, the evidence-free calibration (its
   memoized clique marginals serve every ``Pr(X_t = 1)`` lookup and the
@@ -53,6 +54,7 @@ from ..core.columnar import RelationColumns
 from ..core.tuples import Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
+    from ..andxor.ranking import PRFeLayout
     from ..andxor.tree import AndXorTree
     from ..graphical.junction_tree import CalibratedTree, JunctionTree
     from ..graphical.model import MarkovNetworkRelation
@@ -425,13 +427,44 @@ class CachedTree(_CorrelatedEntry):
     """The cached intermediates of one and/xor tree.
 
     The sorted order, the positional matrix of the tree's generating
-    functions and memoized PRFe value vectors of Algorithm 3 (keyed by
+    functions, the alpha-independent :class:`~repro.andxor.ranking.PRFeLayout`
+    of the stacked PRFe kernel and its memoized value vectors (keyed by
     ``alpha``).  The entry refers to no tree: content-equal trees share
-    it, the matrix is computed on the caller's tree, and results carry
-    the caller's leaf tuples.  Slicing the matrix is exact: the
-    generating-function coefficients of degree ``< limit`` are sums of
-    exactly the products a narrower truncation computes.
+    it (they have the same structure, so the same layout), the matrix is
+    computed on the caller's tree, and results carry the caller's leaf
+    tuples.  Slicing the matrix is exact: the generating-function
+    coefficients of degree ``< limit`` are sums of exactly the products a
+    narrower truncation computes.
     """
+
+    layout: "PRFeLayout | None" = field(default=None, repr=False)
+
+    def elements(self) -> int:
+        """Cached size in float64-equivalent elements (for the eviction budget)."""
+        layout = self.layout
+        return super().elements() + (layout.nbytes // 8 if layout is not None else 0)
+
+    def shed(self) -> None:
+        """Drop the matrix, layout and memoized values, keeping the order."""
+        with self.lock:
+            self.positional = None
+            self.layout = None
+            _drop_array_extras(self.extras)
+
+    def prfe_layout(self, tree: "AndXorTree") -> "PRFeLayout":
+        """The stacked PRFe layout, built from the caller's ``tree`` once.
+
+        Returns the locally captured layout, as :meth:`CachedNetwork.calibrated`
+        does, so a concurrent :meth:`shed` cannot hand the caller ``None``.
+        """
+        from ..andxor.ranking import PRFeLayout
+
+        with self.lock:
+            layout = self.layout
+            if layout is None:
+                layout = PRFeLayout(tree)
+                self.layout = layout
+        return layout
 
     def _positional_kernel(self, tree: "AndXorTree") -> Callable[[int], np.ndarray]:
         from ..andxor.generating import positional_probabilities_tree

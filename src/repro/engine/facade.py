@@ -10,8 +10,8 @@ against one shared fingerprint-keyed LRU cache:
 * :meth:`Engine.rank` — one dataset, one ranking function.  Numerically
   identical to the legacy per-model entry points (``rank_independent``,
   ``rank_tree``, ``rank_markov_network``); repeated rankings reuse the
-  cached sorted order, prefix/positional matrices, memoized Algorithm 3
-  values and calibrated junction trees.
+  cached sorted order, prefix/positional matrices, memoized PRFe values
+  and calibrated junction trees.
 * :meth:`Engine.rank_batch` — many datasets, one ranking function.  The
   batch may freely mix correlation models; each model's slice runs
   through its backend (equal-size independent relations are stacked into
@@ -480,9 +480,9 @@ class Engine:
 
         Independent relations sweep real-``alpha`` PRFe specs in a single
         stacked log-space kernel and share one prefix matrix across the
-        general-weight specs; trees share the memoized Algorithm 3 values
-        and positional matrix; networks share the calibrated junction
-        tree and DP matrix.
+        general-weight specs; trees run every PRFe alpha not memoized
+        yet in one stacked walk and share the positional matrix;
+        networks share the calibrated junction tree and DP matrix.
 
         With ``top_k`` set, each spec runs through :meth:`rank_top_k`
         instead (results truncated to the best ``top_k`` items); specs

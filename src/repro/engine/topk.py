@@ -22,8 +22,8 @@ already maintains:
 
 * independent relations — the running log prefix sum
   ``sum_{l < i} log(1 - p_l + p_l alpha)`` of the closed-form kernel;
-* and/xor trees — the root value ``F(alpha, alpha)`` that Algorithm 3
-  maintains incrementally (available for free each iteration);
+* and/xor trees — the root value ``F^i(alpha, alpha)`` that the stacked
+  Algorithm 3 walk computes for every row anyway;
 * Markov networks — an evidence-free junction-tree count-distribution
   dynamic program over the prefix.
 

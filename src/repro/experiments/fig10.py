@@ -48,7 +48,7 @@ def correlation_gap_prfe(
     """Kendall distance between correlation-aware and independent PRFe rankings.
 
     Both sweeps run as single ``rank_many`` calls against the shared
-    engine: the tree is walked through one memoized Algorithm 3 state and
+    engine: the tree runs every alpha in one stacked Algorithm 3 walk and
     the independence approximation shares one stacked log-space kernel.
     """
     independent = tree.to_relation()

@@ -128,7 +128,7 @@ def run_panel_iii(
         for dataset_name, factory in (("Syn-XOR", syn_xor), ("Syn-HIGH", syn_high)):
             tree = factory(size, rng=seed)
             timings: dict[str, float] = {}
-            # Cache-cold per algorithm: the tree backend memoizes Algorithm 3
+            # Cache-cold per algorithm: the tree backend memoizes PRFe
             # values and positional matrices, so a shared engine would hand
             # whichever algorithm runs second its predecessor's work.
             _, timings[f"PT({h})"] = _cold(

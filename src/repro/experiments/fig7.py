@@ -66,7 +66,7 @@ def prfe_distance_curves(
     specs = [PRFe(float(alpha)) for alpha in alphas]
     # One engine sweep regardless of correlation model: independent
     # relations share the stacked log-space kernel, trees share the sorted
-    # order and the memoized Algorithm 3 state, networks the calibrated
+    # order and one stacked Algorithm 3 walk, networks the calibrated
     # junction tree.
     answers = [result.top_k(k) for result in shared_engine().rank_many(data, specs)]
     for alpha, prfe_topk in zip(alphas, answers):

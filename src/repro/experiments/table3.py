@@ -5,7 +5,7 @@ algorithms.  This experiment checks the *empirical* scaling of the
 implementations: each algorithm is timed on a geometric ladder of dataset
 sizes and the log-log slope (the empirical polynomial exponent) is
 fitted, so that the near-linear algorithms (PRFe, E-Rank, PRFomega(h)
-with fixed h, the incremental and/xor Algorithm 3) can be distinguished
+with fixed h, the stacked and/xor Algorithm 3) can be distinguished
 from the quadratic general PRF path.
 
 Every measurement routes through the engine's planner (the production
@@ -63,9 +63,9 @@ ALGORITHMS: dict[str, ScalingCase] = {
     # No max_size here: the cap is the caller-tunable ``max_general_prf_size``
     # parameter of ``scaling_rows``.
     "general PRF (O(n^2))": ScalingCase(_general_prf),
-    # The planner detects the and/xor model and runs the incremental
-    # Algorithm 3 — near-linear like independent PRFe, despite correlations.
-    "PRFe and/xor (Alg. 3, O(n log n))": ScalingCase(
+    # The planner detects the and/xor model and runs Algorithm 3 as one
+    # stacked walk — near-linear like independent PRFe, despite correlations.
+    "PRFe and/xor (stacked, O(n log n))": ScalingCase(
         lambda data, k: shared_engine().rank(data, PRFe(0.95)).top_k(k),
         dataset=lambda size, seed: syn_xor(size, rng=seed),
     ),

@@ -2,7 +2,7 @@
 
 The pool's scaling story rests on *cache affinity*: every worker owns a
 stable slice of the dataset universe, so its engine's LRU fingerprint
-cache (sorted orders, prefix matrices, memoized Algorithm 3 values,
+cache (sorted orders, prefix matrices, memoized PRFe values,
 calibrated junction trees) stays hot for the datasets it actually
 serves.  This module provides the routing half of that contract:
 

@@ -57,6 +57,24 @@ class TestPRFeOnTrees:
         expected = alpha ** (np.arange(len(ordered)) + 1.0)
         assert np.allclose(incremental, expected, rtol=1e-9, atol=0.0)
 
+    @pytest.mark.parametrize("alpha", [0.62, 0.99, 1.4])
+    def test_long_and_node_products_stay_in_range(self, alpha):
+        """An and node over 1500 certain leaves: value ``i`` is ``alpha**(i+1)``.
+
+        The root's running product spans 1500 rows, so its mantissas must
+        be renormalized mid-scan (at ``alpha = 0.99`` the product of the
+        mantissa ratios alone reaches ``1.98**1500``); every representable
+        value must come out to rounding, down to ``0.62**1500 ~ 1e-311``.
+        """
+        from repro import AndNode, LeafNode, Tuple
+
+        leaves = [LeafNode(Tuple(f"t{i}", 2000.0 - i, 1.0)) for i in range(1500)]
+        _, values = prfe_values_tree(AndXorTree(AndNode(leaves)), alpha)
+        expected = alpha ** (np.arange(1500) + 1.0)
+        normal = expected > 1e-300
+        assert np.allclose(values[normal], expected[normal], rtol=1e-12, atol=0.0)
+        assert np.all(values[~normal] >= 0.0) and np.all(values[~normal] < 1e-300)
+
     def test_tiny_xor_edge_probabilities(self):
         """Trees whose leaves carry tiny marginals keep exact tiny values."""
         from repro import Tuple

@@ -5,14 +5,15 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro import AndNode, AndXorTree, LeafNode, Tuple, XorNode
-from repro.andxor import generating
+from repro import AndNode, AndXorTree, Engine, LeafNode, PRFe, Tuple, XorNode
+from repro.andxor import generating, ranking
 from repro.andxor.generating import (
     positional_distribution,
     positional_probabilities_tree,
     world_size_distribution,
 )
-from repro.andxor.ranking import prfe_values_tree, prfe_values_tree_recompute
+from repro.andxor.ranking import prfe_values_tree, prfe_values_tree_recompute, rank_tree
+from repro.core.prf import LinearCombinationPRFe
 from repro.core.possible_worlds import prf_by_enumeration, rank_distribution_by_enumeration
 from repro.datasets import syn_high, syn_low, syn_med, syn_xor
 
@@ -168,3 +169,138 @@ def test_positional_matrix_rows_match_single_tuple_builds(tree):
     for row, t in zip(matrix, ordered):
         single = positional_distribution(tree, t.tid)
         assert np.allclose(row, single[1:], rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Stacked PRFe: every row and every alpha in one walk
+# ---------------------------------------------------------------------------
+def _xor_edges(draw, count):
+    """Edge probabilities: dyadic (exact zeros, sums of exactly 1) or arbitrary."""
+    if draw(st.booleans()):
+        eighths = draw(st.lists(st.integers(0, 8), min_size=count, max_size=count))
+        while sum(eighths) > 8:
+            eighths[eighths.index(max(eighths))] -= 1
+        return [value / 8 for value in eighths]
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count))
+    total = sum(raw) or 1.0
+    scale = draw(st.floats(0.2, 1.0))
+    return [value / total * scale for value in raw]
+
+
+@st.composite
+def prfe_trees(draw, max_leaves=10):
+    """Trees with zero edges, exhaustive xor nodes and mixed and/xor depth."""
+    num_leaves = draw(st.integers(min_value=1, max_value=max_leaves))
+    scores = draw(st.lists(st.integers(0, 6), min_size=num_leaves, max_size=num_leaves))
+    nodes = [LeafNode(Tuple(f"t{i}", float(scores[i]), 1.0)) for i in range(num_leaves)]
+    while len(nodes) > 1 or draw(st.booleans()):
+        take = draw(st.integers(min_value=1, max_value=min(3, len(nodes))))
+        start = draw(st.integers(min_value=0, max_value=len(nodes) - take))
+        children = nodes[start : start + take]
+        if draw(st.booleans()):
+            parent = XorNode(list(zip(_xor_edges(draw, take), children)))
+        else:
+            parent = AndNode(children)
+        nodes[start : start + take] = [parent]
+        if len(nodes) == 1 and draw(st.booleans()):
+            break
+    return AndXorTree(nodes[0])
+
+
+REAL_ALPHAS = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(0.01, 0.99),
+    st.floats(1.01, 1.6),
+    st.floats(-0.99, -0.01),
+)
+ALPHAS = st.one_of(
+    REAL_ALPHAS,
+    st.builds(complex, st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)),
+)
+prfe_tree_inputs = st.one_of(prfe_trees(), synthetic_trees())
+
+
+def _pairs(result):
+    return [(item.tid, item.value) for item in result]
+
+
+@settings(max_examples=60, deadline=None)
+@given(prfe_tree_inputs, st.lists(ALPHAS, min_size=1, max_size=4))
+def test_stacked_prfe_matches_enumeration(tree, alphas):
+    worlds = tree.enumerate_worlds()
+    ordered = tree.sorted_tuples()
+    columns = ranking.prfe_values_stacked(ranking.PRFeLayout(tree), alphas)
+    for alpha, values in zip(alphas, columns):
+        assert values.shape == (len(ordered),)
+        for t, value in zip(ordered, values):
+            exact = prf_by_enumeration(worlds, t.tid, lambda i: alpha**i)
+            assert abs(value - exact) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(prfe_tree_inputs, st.lists(st.tuples(ALPHAS, ALPHAS), min_size=1, max_size=3))
+def test_linear_combination_matches_enumeration(tree, terms):
+    rf = LinearCombinationPRFe([u for u, _ in terms], [alpha for _, alpha in terms])
+    worlds = tree.enumerate_worlds()
+    expected = {
+        t.tid: prf_by_enumeration(worlds, t.tid, lambda i: complex(rf.weight(i)))
+        for t in tree.tuples()
+    }
+    for result in (rank_tree(tree, rf), Engine().rank(tree, rf)):
+        for tid, value in _pairs(result):
+            assert abs(value - expected[tid]) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(prfe_tree_inputs, st.lists(ALPHAS, min_size=2, max_size=6))
+def test_one_alpha_alone_equals_its_column_of_a_stacked_run(tree, alphas):
+    layout = ranking.PRFeLayout(tree)
+    stacked = ranking.prfe_values_stacked(layout, alphas)
+    for alpha, column in zip(alphas, stacked):
+        assert np.array_equal(ranking.prfe_values_stacked(layout, [alpha])[0], column)
+        assert np.array_equal(prfe_values_tree(tree, alpha)[1], column)
+    with mock.patch.object(ranking, "_STACK_ELEMENTS", 1):
+        assert all(
+            np.array_equal(chunked, column)
+            for chunked, column in zip(ranking.prfe_values_stacked(layout, alphas), stacked)
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(prfe_tree_inputs, REAL_ALPHAS, ALPHAS, st.sampled_from([1, 2, 3]))
+def test_every_path_returns_the_same_bits(tree, alpha, other, k):
+    rf = PRFe(alpha)
+    combination = LinearCombinationPRFe([0.5, 0.25j], [alpha, other])
+    reference = rank_tree(tree, rf)
+    cold = Engine()
+    assert _pairs(cold.rank(tree, rf)) == _pairs(reference)
+    assert _pairs(cold.rank(tree, rf)) == _pairs(reference)  # warm: memoized column
+    together = Engine().rank_many(tree, [PRFe(other), rf, combination, rf])
+    assert _pairs(together[1]) == _pairs(reference) == _pairs(together[3])
+    assert _pairs(together[0]) == _pairs(rank_tree(tree, PRFe(other)))
+    assert _pairs(together[2]) == _pairs(rank_tree(tree, combination))
+    assert _pairs(cold.rank_many(tree, [combination])[0]) == _pairs(together[2])
+    batch = Engine().rank_batch([tree, AndXorTree(tree.root)], rf)
+    assert all(_pairs(result) == _pairs(reference) for result in batch)
+    for engine in (Engine(), cold):
+        top, _ = engine.rank_top_k(tree, rf, k)
+        assert _pairs(top) == _pairs(reference)[:k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(prfe_tree_inputs, st.floats(0.05, 0.95), st.integers(1, 4))
+def test_topk_prefix_chunks_change_no_bit(tree, alpha, k):
+    _, full = prfe_values_tree(tree, alpha)
+    reference = rank_tree(tree, PRFe(alpha))
+    _, _, first_certifying, _ = ranking.prfe_topk_values_tree(tree, alpha, k)
+    for rows in (1, 2):
+        with mock.patch.object(ranking, "_TOPK_MIN_ROWS", rows):
+            ordered, values, examined, bound = ranking.prfe_topk_values_tree(tree, alpha, k)
+            assert examined == first_certifying
+            assert np.array_equal(values, full[:examined])
+            if examined < len(ordered):
+                # Every unexamined leaf is below the certified bound.
+                assert np.all(np.abs(full[examined:]) <= bound)
+            top, report = Engine().rank_top_k(tree, PRFe(alpha), k)
+            assert report.examined == examined
+            assert _pairs(top) == _pairs(reference)[:k]
