@@ -13,7 +13,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
     from .columnar import RelationColumns
 
-__all__ = ["RankedItem", "RankingResult", "ColumnarRankingResult"]
+__all__ = ["RankedItem", "RankingResult", "ColumnarRankingResult", "TupleRows"]
 
 
 @dataclass(frozen=True)
@@ -141,23 +141,51 @@ class RankingResult:
         raise KeyError(f"tuple {tid!r} not present in result")
 
 
-class ColumnarRankingResult(RankingResult):
-    """A ranking of a tuple-independent relation, backed by its columns.
+class TupleRows:
+    """Positions into a tree's or network's tuple sequence: a lazy result's rows.
 
-    Instead of eagerly building one :class:`RankedItem` per tuple, the
-    result stores the ranking as a permutation of original positions
-    plus the aligned value array.  Identifier queries (:meth:`top_k`,
-    :meth:`tids`, :meth:`position_of`) are answered straight from the
-    arrays; :class:`RankedItem` objects are materialized only if a
-    caller actually iterates or indexes the result, from
-    ``relation.tuples_at`` (so a tuple-list relation's items are the
-    caller's own :class:`Tuple` objects), and then behave exactly like
-    the eager container.
+    Exposes the two methods :class:`ColumnarRankingResult` reads of a
+    relation, :meth:`tuples_at` and :meth:`tid_values`, over the caller's
+    own tuple sequence (an and/xor tree's ``tuples()``, a Markov
+    network's ``tuples``), so a correlated ranking's items are the
+    caller's :class:`Tuple` objects.  It holds nothing else, so a lazy
+    result pickles with its dataset's tuples only.
+    """
+
+    def __init__(self, tuples: Sequence[Tuple]) -> None:
+        self._tuples = tuples
+
+    def tuples_at(self, indices: "np.ndarray") -> list[Tuple]:
+        """The tuples at the given positions of the sequence."""
+        tuples = self._tuples
+        return [tuples[i] for i in indices.tolist()]
+
+    def tid_values(self, indices: "np.ndarray") -> list[Any]:
+        """The identifiers of the tuples at the given positions."""
+        tuples = self._tuples
+        return [tuples[i].tid for i in indices.tolist()]
+
+
+class ColumnarRankingResult(RankingResult):
+    """A full ranking backed by a position permutation and a value array.
+
+    Every full ranking the engine returns is one: of a tuple-independent
+    relation (the rows are the relation's columns) and of an and/xor tree
+    or Markov network (the rows are a :class:`TupleRows` over the
+    caller's tuples).  Instead of eagerly building one :class:`RankedItem`
+    per tuple, the result stores the ranking as a permutation of original
+    positions plus the aligned value array.  Identifier queries
+    (:meth:`top_k`, :meth:`tids`, :meth:`position_of`) are answered
+    straight from the arrays; :class:`RankedItem` objects are
+    materialized only if a caller actually iterates or indexes the
+    result, from ``relation.tuples_at`` (so a tuple-list relation's,
+    tree's or network's items are the caller's own :class:`Tuple`
+    objects), and then behave exactly like the eager container.
     """
 
     def __init__(
         self,
-        relation: "RelationColumns",
+        relation: "RelationColumns | TupleRows",
         original_indices: "np.ndarray",
         values: "np.ndarray",
         name: str = "",
@@ -177,8 +205,12 @@ class ColumnarRankingResult(RankingResult):
     # Zero-copy accessors
     # ------------------------------------------------------------------
     @property
-    def relation(self) -> "RelationColumns":
-        """The relation this ranking refers into (the caller's own object)."""
+    def relation(self) -> "RelationColumns | TupleRows":
+        """The rows this ranking refers into.
+
+        The caller's own relation object, or the :class:`TupleRows` over
+        a tree's or network's tuples.
+        """
         return self._relation
 
     def original_indices(self) -> "np.ndarray":

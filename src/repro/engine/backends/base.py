@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from ...core.prf import RankingFunction
-from ...core.result import RankingResult
+from ...core.result import ColumnarRankingResult, RankingResult, TupleRows
 from ...core.tuples import Tuple
 from ..topk import TopKReport, ranked_result, ranking_order, validated_k
 
@@ -49,20 +49,26 @@ def build_result(
     """The ranking of a tree's or network's ``tuples`` from values over a sorted prefix.
 
     ``values`` cover the first ``m`` tuples of the entry's score-descending
-    ``order``.  Without ``k`` they cover every tuple and the whole ranking
-    is built; with ``k`` only the best ``k`` items are, which for an
-    early-terminated prefix are the first ``k`` items of the full ranking
-    (the bound puts every unexamined tuple strictly below the k-th
-    examined key).  :func:`~repro.engine.topk.ranking_order` sorts by the
-    ``(-|value|, -score, str(tid))`` triple of
-    :meth:`RankingResult.from_values`, and the items are the caller's
-    ``tuples``.
+    ``order``.  Without ``k`` they cover every tuple and the result is a
+    lazy :class:`~repro.core.result.ColumnarRankingResult`: the ranked
+    positions into ``tuples`` and the ranked values as arrays, with
+    :class:`~repro.core.result.RankedItem` objects built only when a
+    caller iterates or indexes it.  With ``k`` only the best ``k`` items
+    are built, eagerly; for an early-terminated prefix they are the first
+    ``k`` items of the full ranking (the bound puts every unexamined tuple
+    strictly below the k-th examined key).
+    :func:`~repro.engine.topk.ranking_order` sorts by the ``(-|value|,
+    -score, str(tid))`` triple of :meth:`RankingResult.from_values`, and
+    the items are the caller's ``tuples``.
     """
     values = np.asarray(values)
     m = values.shape[0]
-    order = ranking_order(
-        values, entry.scores[:m], lambda: entry.tid_strings(tuples)[:m]
-    )[:k]
+    order = ranking_order(values, entry.scores[:m], lambda: entry.tid_strings(tuples)[:m])
+    if k is None:
+        return ColumnarRankingResult(
+            TupleRows(tuples), entry.order[order], values[order], name=name
+        )
+    order = order[:k]
     return ranked_result([tuples[i] for i in entry.order[order].tolist()], values[order], name)
 
 

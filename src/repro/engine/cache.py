@@ -212,28 +212,53 @@ class CacheStats:
         return self.hits / lookups if lookups else 0.0
 
 
-def _extras_bytes(extras: dict) -> int:
-    """Total bytes of the array payloads stashed in an entry's ``extras``."""
-    total = 0
-    for value in extras.values():
-        parts = value if isinstance(value, (tuple, list)) else (value,)
-        for part in parts:
-            if isinstance(part, np.ndarray):
-                total += part.nbytes
-    return total
+def _payload_arrays(value: Any) -> list[np.ndarray]:
+    """The arrays in one ``extras`` value (an array, or a tuple holding some)."""
+    parts = value if isinstance(value, (tuple, list)) else (value,)
+    return [part for part in parts if isinstance(part, np.ndarray)]
 
 
-def _drop_array_extras(extras: dict) -> None:
+def _payload_bytes(value: Any) -> int:
+    """Bytes of the arrays in one ``extras`` value."""
+    return sum(part.nbytes for part in _payload_arrays(value))
+
+
+class _Extras(dict):
+    """An entry's ``extras``: memoized values, tid strings and top-k prefixes.
+
+    Keeps a running count of its array payload bytes in ``nbytes``, so an
+    entry's :meth:`elements` is O(1) however many memos it has gathered
+    (one per distinct alpha).  The count changes only through ``[key] =
+    value`` and ``del [key]``, under a lock (backends store memos without
+    the entry lock); the other mutators would bypass it, so they raise.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        with self._lock:
+            previous = self.get(key)
+            super().__setitem__(key, value)
+            self.nbytes += _payload_bytes(value) - _payload_bytes(previous)
+
+    def __delitem__(self, key: Any) -> None:
+        with self._lock:
+            previous = self[key]
+            super().__delitem__(key)
+            self.nbytes -= _payload_bytes(previous)
+
+    def _uncounted(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("extras change only through item assignment and deletion")
+
+    clear = pop = popitem = setdefault = update = __ior__ = _uncounted
+
+
+def _drop_array_extras(extras: _Extras) -> None:
     """Remove the array payloads (memoized values, tid strings) in place."""
-    for key in [
-        key
-        for key, value in extras.items()
-        if isinstance(value, np.ndarray)
-        or (
-            isinstance(value, (tuple, list))
-            and any(isinstance(part, np.ndarray) for part in value)
-        )
-    ]:
+    for key in [key for key, value in extras.items() if _payload_arrays(value)]:
         del extras[key]
 
 
@@ -252,7 +277,7 @@ class CachedRelation:
     scores: np.ndarray  # score-descending order
     probabilities: np.ndarray  # score-descending order
     prefix: np.ndarray | None = None  # (n, limit_computed) or None
-    extras: dict[Any, Any] = field(default_factory=dict)
+    extras: _Extras = field(default_factory=_Extras)
     #: Guards prefix growth: concurrent growers at different limits must
     #: not overwrite a wide matrix with a narrow one.
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -273,7 +298,7 @@ class CachedRelation:
         total_bytes = self.order.nbytes + self.scores.nbytes + self.probabilities.nbytes
         if self.prefix is not None:
             total_bytes += self.prefix.nbytes
-        total_bytes += _extras_bytes(self.extras)
+        total_bytes += self.extras.nbytes
         return total_bytes // 8
 
     def shed(self) -> None:
@@ -354,7 +379,7 @@ class _CorrelatedEntry(ABC):
     order: np.ndarray  # tuple positions in score-descending order
     scores: np.ndarray  # score-descending order
     positional: np.ndarray | None = None  # (n, limit_computed) or None
-    extras: dict[Any, Any] = field(default_factory=dict)
+    extras: _Extras = field(default_factory=_Extras)
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @classmethod
@@ -375,7 +400,7 @@ class _CorrelatedEntry(ABC):
 
     def elements(self) -> int:
         """Cached size in float64-equivalent elements (for the eviction budget)."""
-        total_bytes = self.order.nbytes + self.scores.nbytes + _extras_bytes(self.extras)
+        total_bytes = self.order.nbytes + self.scores.nbytes + self.extras.nbytes
         if self.positional is not None:
             total_bytes += self.positional.nbytes
         return total_bytes // 8

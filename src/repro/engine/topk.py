@@ -174,7 +174,12 @@ def ranking_order(
 
 
 def ranked_result(items: Sequence[Tuple], values: np.ndarray, name: str) -> RankingResult:
-    """An eager :class:`RankingResult` of ``items`` already in ranking order."""
+    """An eager :class:`RankingResult` of ``items`` already in ranking order.
+
+    The container of top-k prefixes: a full ranking is a lazy
+    :class:`~repro.core.result.ColumnarRankingResult` instead, but a
+    prefix of ``k`` built items pickles as ``k`` items, not the dataset.
+    """
     return RankingResult(
         [
             RankedItem(position=position + 1, item=item, value=value)

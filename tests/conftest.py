@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro import AndNode, AndXorTree, LeafNode, ProbabilisticRelation, Tuple, XorNode
+from repro.core.result import ColumnarRankingResult
 
 
 @pytest.fixture
@@ -113,3 +116,40 @@ def random_small_tree(rng: np.random.Generator, num_leaves: int = 6) -> AndXorTr
         nodes.append(node)
         counter += 1
     return AndXorTree(nodes[0], name=f"random-tree-{counter}")
+
+
+def assert_lazy_equals_eager(result, reference, tuples):
+    """``result`` is lazy and item-for-item the eager ``reference``, on ``tuples``."""
+    assert isinstance(result, ColumnarRankingResult)
+    n = len(reference)
+    by_tid = {t.tid: t for t in tuples}
+    expected_values = np.array([item.value for item in reference])
+    # Views answered from the arrays, before any item is built.
+    assert result.tids() == reference.tids()
+    assert result.top_k(3) == reference.top_k(3)
+    assert np.array_equal(result.values_array(), expected_values)
+    assert result.values() == reference.values()
+    for item in reference:
+        assert result.value_of(item.tid) == item.value
+        assert result.position_of(item.tid) == item.position
+    # Indexing and slicing, before any iteration.
+    for index in {0, n // 2, n - 1, -1}:
+        assert ranked_item(result[index]) == ranked_item(reference[index])
+    assert [ranked_item(item) for item in result[1:4]] == [ranked_item(i) for i in reference[1:4]]
+    renamed = result.renamed("other")
+    assert isinstance(renamed, ColumnarRankingResult) and renamed.name == "other"
+    assert renamed.values_array() is result.values_array()
+    thawed = pickle.loads(pickle.dumps(result))
+    assert isinstance(thawed, ColumnarRankingResult)
+    assert [ranked_item(item) for item in thawed] == [ranked_item(item) for item in reference]
+    # Iteration: the caller's own tuples, positions and bit-equal values.
+    items = list(result)
+    assert [ranked_item(item) for item in items] == [ranked_item(item) for item in reference]
+    assert all(item.item is by_tid[item.tid] for item in items)
+    assert np.array_equal(np.array([item.value for item in items]), expected_values)
+
+
+def ranked_item(item):
+    """``(position, tid, value type, value bits)`` of a ranked item, compared bit for bit."""
+    value = complex(item.value)
+    return item.position, item.tid, type(item.value), value.real.hex(), value.imag.hex()

@@ -302,3 +302,47 @@ class TestTwinsOnThreads:
                     item.item is not own[item.tid] for r in results for item in r
                 )
         assert foreign == 0
+
+
+class TestExtrasByteCount:
+    def test_running_count_survives_concurrent_writers(self):
+        """Threads storing, overwriting and deleting shared memo keys lose no update."""
+        entry = RelationCache().entry_for(syn_xor(30, rng=5))
+        extras = entry.extras
+        sizes = (1, 3, 8, 21)
+
+        def writer(slot: int, barrier) -> None:
+            try:
+                barrier.wait()
+                for step in range(3000):
+                    key = ("prfe", float(step % 5))  # keys shared across threads
+                    if step % 7 == slot:
+                        try:
+                            del extras[key]
+                        except KeyError:
+                            pass
+                    else:
+                        size = sizes[(step + slot) % len(sizes)]
+                        extras[key] = np.zeros(size) if step % 2 else (np.zeros(size), 1, 0.5)
+            except BaseException as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            barrier = threading.Barrier(4)
+            errors: list[BaseException] = []
+            threads = [threading.Thread(target=writer, args=(slot, barrier)) for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        recount = 0
+        for value in dict.values(extras):
+            parts = value if isinstance(value, tuple) else (value,)
+            recount += sum(part.nbytes for part in parts if isinstance(part, np.ndarray))
+        assert extras.nbytes == recount

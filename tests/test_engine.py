@@ -21,12 +21,15 @@ from repro import (
     PRFOmega,
     PRFe,
     ProbabilisticRelation,
+    Tuple,
     rank,
 )
 from repro.algorithms.independent import positional_probabilities, rank_independent
 from repro.core.columnar import ColumnarRelation
 from repro.core.weights import NDCGDiscountWeight, StepWeight
+from repro.datasets import syn_xor
 from repro.engine import RelationCache, relation_fingerprint
+from repro.graphical import MarkovChainRelation
 
 
 def make_relations(count: int, rng: np.random.Generator) -> list[ProbabilisticRelation]:
@@ -330,6 +333,50 @@ class TestCache:
         _, wide = engine.positional_matrix(relation)
         _, narrow = engine.positional_matrix(relation, max_rank=2)
         assert np.array_equal(wide[:, :2], narrow)
+
+    @pytest.mark.parametrize("model", ["independent", "andxor", "markov"])
+    def test_running_extras_count_equals_a_fresh_recount(self, model):
+        rng = np.random.default_rng(41)
+        data = {
+            "independent": lambda: ProbabilisticRelation.from_arrays(
+                rng.uniform(0, 100, 300), rng.uniform(0, 1, 300)
+            ),
+            "andxor": lambda: syn_xor(300, rng),
+            "markov": lambda: MarkovChainRelation.homogeneous(
+                [Tuple(f"m{i}", float(s), 1.0) for i, s in enumerate(rng.permutation(90)[:30])],
+                0.6, 0.7, 0.8,
+            ).to_markov_network(),
+        }[model]()
+        engine = Engine()
+        entry = engine.cache.entry_for(data)
+
+        def fresh_elements():
+            fixed = [getattr(entry, name, None) for name in
+                     ("order", "scores", "probabilities", "prefix", "positional")]
+            total = sum(array.nbytes for array in fixed if array is not None)
+            for value in dict.values(entry.extras):
+                parts = value if isinstance(value, tuple) else (value,)
+                total += sum(part.nbytes for part in parts if isinstance(part, np.ndarray))
+            extra = [getattr(entry, name, None) for name in ("layout", "base_calibrated")]
+            return total // 8 + sum(part.nbytes // 8 for part in extra if part is not None)
+
+        # Memo stores through every path: top-k prefixes (before a network's
+        # positional matrix short-cuts them), values, tid strings.
+        for alpha in (0.2, 0.5, 0.7):
+            engine.rank_top_k(data, PRFe(alpha), 3)
+        engine.rank_many(data, [PRFe(alpha) for alpha in (0.3, 0.6, 0.9)])
+        assert entry.extras and entry.elements() == fresh_elements()
+        # Overwrites of one key, growing, shrinking and changing shape.
+        key = ("probe", 1.0)
+        for value in (np.zeros(7), np.zeros(3, dtype=complex), (np.zeros(11), 5, 0.5), "tag"):
+            entry.extras[key] = value
+            assert entry.elements() == fresh_elements()
+        del entry.extras[key]
+        assert entry.elements() == fresh_elements()
+        with pytest.raises(TypeError):
+            entry.extras.pop(("prfe", 0.3), None)
+        entry.shed()
+        assert entry.extras.nbytes == 0 and entry.elements() == fresh_elements()
 
     @pytest.mark.parametrize("path", ["rank", "rank_batch", "rank_many", "positional_matrix"])
     def test_cached_prefix_is_read_only(self, path):

@@ -33,10 +33,12 @@ import pytest
 
 from repro import Engine, PRFe, PRFOmega, ProbabilisticRelation, Tuple
 from repro.andxor.tree import AndXorTree
+from repro.core.result import ColumnarRankingResult
 from repro.core.weights import StepWeight
 from repro.engine.cache import dataset_fingerprint
 from repro.graphical import MarkovChainRelation
 from repro.service import (
+    AsyncRankingClient,
     Fault,
     FaultPlan,
     PooledRankingService,
@@ -228,6 +230,34 @@ class TestProcessWorker:
             assert_bitwise_equal(results[0], Engine().rank(rel, PRFe(0.9)))
         finally:
             worker.stop()
+
+
+    def test_trees_and_networks_round_trip_through_process_workers(self):
+        datasets = [make_tree(40), make_network(41)]
+        specs = [PRFe(0.9), PRFe(0.6 + 0.2j), PRFOmega(StepWeight(3))]
+        engine = Engine()
+        expected_rank = [engine.rank(data, specs[0]) for data in datasets]
+        expected_many = [engine.rank_many(data, specs) for data in datasets]
+
+        async def scenario():
+            pool = WorkerPool(1, retry_backoff=0.01)
+            async with PooledRankingService(pool, max_delay=0.001) as service:
+                replies = [await service.submit(data, specs[0]) for data in datasets]
+                many = await AsyncRankingClient(service).rank_all(
+                    [(data, rf) for data in datasets for rf in specs]
+                )
+            return [reply.result for reply in replies], many
+
+        ranked, many = run(scenario())
+        for result, expected in zip(ranked, expected_rank):
+            # Pickled whole across the pipe: the lazy result and its rows.
+            assert isinstance(result, ColumnarRankingResult)
+            assert np.array_equal(result.original_indices(), expected.original_indices())
+            assert_bitwise_equal(result, expected)
+        flat = [result for results in expected_many for result in results]
+        for result, expected in zip(many, flat, strict=True):
+            assert isinstance(result, ColumnarRankingResult)
+            assert_bitwise_equal(result, expected)
 
 
 # ----------------------------------------------------------------------

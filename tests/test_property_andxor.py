@@ -1,11 +1,12 @@
 """Property-based tests (hypothesis) for and/xor trees and their ranking algorithms."""
 
+import copy
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro import AndNode, AndXorTree, Engine, LeafNode, PRFe, Tuple, XorNode
+from repro import PRF, AndNode, AndXorTree, Engine, LeafNode, PRFe, PRFOmega, Tuple, XorNode
 from repro.andxor import generating, ranking
 from repro.andxor.generating import (
     positional_distribution,
@@ -15,7 +16,10 @@ from repro.andxor.generating import (
 from repro.andxor.ranking import prfe_values_tree, prfe_values_tree_recompute, rank_tree
 from repro.core.prf import LinearCombinationPRFe
 from repro.core.possible_worlds import prf_by_enumeration, rank_distribution_by_enumeration
+from repro.core.result import ColumnarRankingResult
+from repro.core.weights import NDCGDiscountWeight, StepWeight
 from repro.datasets import syn_high, syn_low, syn_med, syn_xor
+from tests.conftest import assert_lazy_equals_eager, ranked_item
 
 
 @st.composite
@@ -304,3 +308,31 @@ def test_topk_prefix_chunks_change_no_bit(tree, alpha, k):
             top, report = Engine().rank_top_k(tree, PRFe(alpha), k)
             assert report.examined == examined
             assert _pairs(top) == _pairs(reference)[:k]
+
+
+# ---------------------------------------------------------------------------
+# Lazy full rankings: array-backed, items built on demand from the caller's tuples
+# ---------------------------------------------------------------------------
+@settings(max_examples=40, deadline=None)
+@given(prfe_tree_inputs, REAL_ALPHAS, ALPHAS, st.sampled_from([1, 3, None]))
+def test_full_rankings_are_lazy_and_equal_the_eager_result(tree, alpha, other, horizon):
+    twin = copy.deepcopy(tree)
+    specs = [
+        PRFe(alpha),
+        PRFe(other),
+        LinearCombinationPRFe([0.5, 0.25j], [alpha, other]),
+        PRFOmega(StepWeight(horizon)) if horizon else PRF(NDCGDiscountWeight()),
+    ]
+    engine = Engine()
+    for rf in specs:
+        reference = rank_tree(tree, rf)
+        for _ in range(2):  # cold, then warm
+            assert_lazy_equals_eager(engine.rank(tree, rf), reference, tree.tuples())
+        for data, result in zip((tree, twin), Engine().rank_batch([tree, twin], rf)):
+            assert_lazy_equals_eager(result, reference, data.tuples())
+        top, _ = engine.rank_top_k(tree, rf, 2)
+        assert not isinstance(top, ColumnarRankingResult)
+        assert [ranked_item(item) for item in top] == [ranked_item(item) for item in reference[:2]]
+    for fresh in (Engine(), engine):
+        for rf, result in zip(specs, fresh.rank_many(twin, specs)):
+            assert_lazy_equals_eager(result, rank_tree(tree, rf), twin.tuples())

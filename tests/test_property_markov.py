@@ -19,6 +19,7 @@ import repro.graphical.ranking as markov_ranking
 
 from repro import Engine, PRFe, PRFOmega, Tuple
 from repro.core.possible_worlds import rank_distribution_by_enumeration
+from repro.core.result import ColumnarRankingResult
 from repro.core.weights import StepWeight
 from repro.graphical import (
     Factor,
@@ -27,6 +28,7 @@ from repro.graphical import (
     rank_distribution_markov,
     rank_markov_network,
 )
+from tests.conftest import assert_lazy_equals_eager
 
 POSITIVE = st.floats(min_value=0.05, max_value=1.0)
 
@@ -128,3 +130,24 @@ def test_matrix_rows_match_one_row_runs(network):
     ordered, matrix = positional_probabilities_markov(network)
     for row, t in zip(matrix, ordered):
         assert np.array_equal(row, rank_distribution_markov(network, t.tid)[1:]), t.tid
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_networks(), st.floats(min_value=0.05, max_value=0.99), st.integers(1, 8))
+def test_full_rankings_are_lazy_and_equal_the_eager_result(network, alpha, horizon):
+    twin = MarkovNetworkRelation(
+        [Tuple(t.tid, t.score, t.probability) for t in network.tuples], network.factors
+    )
+    specs = [PRFe(alpha), PRFOmega(StepWeight(horizon)), PRFe(0.5)]
+    engine = Engine()
+    for rf in specs:
+        reference = rank_markov_network(network, rf)
+        for _ in range(2):  # cold, then warm
+            assert_lazy_equals_eager(engine.rank(network, rf), reference, network.tuples)
+        for data, result in zip((network, twin), Engine().rank_batch([network, twin], rf)):
+            assert_lazy_equals_eager(result, reference, data.tuples)
+        top, _ = engine.rank_top_k(network, rf, 2)
+        assert not isinstance(top, ColumnarRankingResult)
+    for fresh in (Engine(), engine):
+        for rf, result in zip(specs, fresh.rank_many(twin, specs)):
+            assert_lazy_equals_eager(result, rank_markov_network(network, rf), twin.tuples)
