@@ -217,8 +217,7 @@ def prf_values(
 
     Returns ``(sorted_tuples, values, sort_keys)``; ``sort_keys`` is ``None``
     unless an ordering key other than Python's ``abs(value)`` is used (the
-    real-``alpha`` PRFe path returns log-magnitudes, the general-weight
-    path numpy's magnitudes).
+    real-``alpha`` PRFe path returns log-magnitudes).
     """
     if isinstance(rf, PRFe):
         alpha = rf.alpha
@@ -256,9 +255,7 @@ def prf_values(
     values = batched_general_values(
         probabilities[None, :], general_weights(rf, len(ordered)), factors
     )[0]
-    # The engine orders by numpy's complex magnitude, which can differ from
-    # Python's abs() in the last place; ordering by it keeps ties in step.
-    return ordered, values, np.abs(values)
+    return ordered, values, None
 
 
 def rank_independent(

@@ -61,6 +61,7 @@ __all__ = [
     "TopKReport",
     "prunable",
     "validated_k",
+    "magnitudes",
     "ranking_order",
     "ranked_result",
     "independent_topk_log_values",
@@ -144,6 +145,19 @@ def validated_k(k: int) -> int:
     return validated
 
 
+def magnitudes(values: np.ndarray) -> np.ndarray:
+    """``|value|`` of every entry, bit-equal to Python's ``abs()``.
+
+    ``np.abs`` of a complex array can differ from ``abs(complex)`` in the
+    last place, which reorders near-ties against
+    :meth:`~repro.core.result.RankingResult.from_values`; ``np.hypot`` of
+    the parts rounds as ``abs(complex)`` does.
+    """
+    if np.iscomplexobj(values):
+        return np.hypot(values.real, values.imag)
+    return np.abs(values)
+
+
 def ranking_order(
     values: np.ndarray,
     scores: np.ndarray,
@@ -161,7 +175,7 @@ def ranking_order(
     without two equal neighbours no tie is possible and the scan is
     skipped.  The sort ranks NaN keys equal, so two NaNs tie here too.
     """
-    keys = np.abs(values) if sort_keys is None else np.asarray(sort_keys, dtype=float)
+    keys = magnitudes(values) if sort_keys is None else np.asarray(sort_keys, dtype=float)
     order = np.lexsort((-scores, -keys))
     if (scores[1:] == scores[:-1]).any():
         ranked_keys = keys[order]

@@ -38,6 +38,7 @@ from repro.core.result import RankingResult
 from repro.engine.topk import (
     certified,
     independent_topk_log_values,
+    magnitudes,
     ranking_order,
     validated_k,
 )
@@ -300,6 +301,17 @@ class TestKernels:
         assert len(calls) == 2
         distinct = ranking_order(np.array([0.1, 0.2]), np.ones(2), strings("a", "b"))
         assert distinct.tolist() == [1, 0] and len(calls) == 2
+
+    def test_ranking_order_takes_magnitudes_as_python_abs(self):
+        # np.abs rounds both magnitudes up to one value, abs() keeps them
+        # an ulp apart; the order must be from_values', not a tid tie-break.
+        values = np.array([0.029296875 + 0.003850068941053608j, 0.029296875 + 0.003850068941053636j])
+        assert [m.hex() for m in magnitudes(values)] == [abs(v).hex() for v in values.tolist()]
+        tuples = [Tuple("a", 1.0, 0.5), Tuple("b", 1.0, 0.5)]
+        expected = RankingResult.from_values(tuples, values.tolist()).tids()
+        assert expected == ["b", "a"]
+        order = ranking_order(values, np.ones(2), lambda: np.array(["a", "b"]))
+        assert [tuples[i].tid for i in order] == expected
 
     def test_tied_tuples_rank_by_tid_string_in_both_forms(self):
         tuples = [Tuple(9, 1.0, 0.0), Tuple(10, 1.0, 0.0), Tuple("x", 2.0, 0.0)]
