@@ -168,10 +168,10 @@ def plan_approx(
         if bound <= budget:
             # Doubling overshoots: the smallest certifying request lies
             # in (terms // 2, terms].  Planning cost is a few more DFTs
-            # plus one error_bound per attempt, and it is not negligible:
-            # on the Gaussian weight of support 2000 at n = 10^5 the
-            # error_bound calls (8 of them) take ~82 of the ~103 ms the
-            # whole approx= query takes (2-core x86).
+            # plus one error_bound per attempt: on the Gaussian weight of
+            # support 2000 at n = 10^5 the error_bound calls (8 of them)
+            # take ~4 of the ~25 ms the whole approx= query takes (2-core
+            # x86).
             low, high = terms // 2 + 1, terms
             while low < high:
                 middle = (low + high) // 2

@@ -43,6 +43,7 @@ from ..kernels import (
     batched_prefix_matrices,
     batched_prfe_log_values,
     batched_prfe_values,
+    exp_log_values,
 )
 from ..topk import (
     TopKReport,
@@ -203,8 +204,7 @@ class IndependentBackend(RankingBackend):
             )
             if store and (memo is None or examined > memo[1]):
                 entry.extras[key] = (log_values, examined, bound)
-        with np.errstate(over="ignore", under="ignore"):
-            values = np.exp(log_values)
+        values = exp_log_values(log_values)
         result = _ranking(relation, entry, values, label, log_values, k=k)
         self.cache.enforce_budget()
         return result, TopKReport(k=k, n=n, examined=examined, pruned=examined < n)
@@ -266,9 +266,7 @@ class IndependentBackend(RankingBackend):
             alpha = rf.alpha
             if uses_log_space(rf):
                 log_values = batched_prfe_log_values(P, alpha)
-                with np.errstate(over="ignore", under="ignore"):
-                    values = np.exp(log_values)
-                return values, log_values
+                return exp_log_values(log_values), log_values
             return batched_prfe_values(P, alpha), None
         if isinstance(rf, LinearCombinationPRFe):
             return batched_lincomb_values(P, rf.coefficients, rf.alphas), None
@@ -367,8 +365,7 @@ class IndependentBackend(RankingBackend):
         alphas = np.array([alpha for _, alpha in specs], dtype=float)
         P = np.broadcast_to(p, (alphas.size, p.size))
         log_values = batched_prfe_log_values(P, alphas)
-        with np.errstate(over="ignore", under="ignore"):
-            values = np.exp(log_values)
+        values = exp_log_values(log_values)
         for row, (index, _) in enumerate(specs):
             yield index, values[row], log_values[row]
 

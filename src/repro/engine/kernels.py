@@ -27,11 +27,16 @@ __all__ = [
     "first_zero_row",
     "row_sums",
     "batched_prfe_log_values",
+    "exp_log_values",
     "batched_prfe_values",
     "batched_lincomb_values",
 ]
 
 _LOG_EPS = 1e-300
+
+#: ``exp`` of anything at or below this rounds to ``0.0``: ``e**-750`` is
+#: under half the smallest subnormal double (``e**-745.13``).
+_EXP_CUTOFF = -750.0
 
 #: Rows between the prefix recurrence's checks for an all-zero prefix.
 _ZERO_CHECK_ROWS = 32
@@ -189,24 +194,44 @@ def batched_prfe_log_values(P: np.ndarray, alpha) -> np.ndarray:
     if np.any(alphas <= 0.0) or np.any(alphas > 1.0):
         raise ValueError(f"log-space PRFe evaluation requires 0 < alpha <= 1, got {alpha}")
     column = alphas if scalar else alphas[:, None]
-    factors = 1.0 - P + P * column
-    log_factors = np.log(np.maximum(factors, _LOG_EPS))
-    prefix_log = np.zeros_like(factors)
-    if P.shape[1] > 1:
-        prefix_log[:, 1:] = np.cumsum(log_factors, axis=1)[:, :-1]
+    # A broadcast stack (the alpha sweep: one relation, one alpha per row)
+    # has a single distinct row of P, so its alpha-free terms run once.
+    base = P[:1] if P.strides[0] == 0 else P
+    log_factors = (1.0 - base) + P * column
+    np.log(np.maximum(log_factors, _LOG_EPS, out=log_factors), out=log_factors)
+    log_values = np.empty_like(log_factors)
+    log_values[:, :1] = 0.0
+    np.cumsum(log_factors[:, :-1], axis=1, out=log_values[:, 1:])
     with np.errstate(divide="ignore"):
         log_probabilities = np.where(
-            P > 0.0, np.log(np.maximum(P, _LOG_EPS)), -np.inf
+            base > 0.0, np.log(np.maximum(base, _LOG_EPS)), -np.inf
         )
     # math.log per alpha keeps the additive constant bit-identical to the
-    # single-relation implementation.
+    # single-relation implementation; the sum is (prefix + log p) + log alpha.
     if scalar:
         log_alpha = math.log(max(float(alphas), _LOG_EPS))
     else:
         log_alpha = np.array(
             [math.log(max(a, _LOG_EPS)) for a in alphas.tolist()]
         )[:, None]
-    return prefix_log + log_probabilities + log_alpha
+    log_values += log_probabilities
+    log_values += log_alpha
+    return log_values
+
+
+def exp_log_values(log_values: np.ndarray) -> np.ndarray:
+    """``np.exp(log_values)`` bit for bit, skipping the entries that round to 0.
+
+    ``np.exp`` runs a slow path on inputs whose result underflows, and on
+    large relations most log-values do (97% of PRFe(0.95) at n = 10^6).
+    Every input at or below :data:`_EXP_CUTOFF` has the result ``0.0``
+    exactly, so only the others are exponentiated.
+    """
+    values = np.zeros(log_values.shape)
+    with np.errstate(over="ignore", under="ignore"):
+        # NaN is not <= the cutoff, so it stays NaN.
+        np.exp(log_values, out=values, where=~(log_values <= _EXP_CUTOFF))
+    return values
 
 
 def batched_prfe_values(P: np.ndarray, alpha: complex) -> np.ndarray:

@@ -168,22 +168,44 @@ def ranking_order(
 
     The key is ``|value|`` unless ``sort_keys`` overrides it; the order is
     that of :meth:`~repro.core.result.RankingResult.from_values`, shared
-    by every result builder.  ``np.lexsort`` is stable, so when no two
-    positions tie on both key and score the two-key order already is the
-    three-key one and ``tid_strings()``, usually the costliest column, is
-    never called.  ``scores`` are score-descending (every entry's are), so
-    without two equal neighbours no tie is possible and the scan is
-    skipped.  The sort ranks NaN keys equal, so two NaNs tie here too.
+    by every result builder.  ``scores`` are score-descending (every
+    entry's are), so among equal keys ascending position is descending
+    score: one unstable ``np.argsort`` of the keys, with each run of equal
+    keys put back in position order, is the stable ``(-key, -score)``
+    order at a fraction of a two-key ``np.lexsort``'s cost.  Equal means
+    ``==`` or both NaN (the sort ranks NaN last), as in ``np.lexsort``.
+    When no two positions tie on both key and score that order already is
+    the three-key one and ``tid_strings()``, usually the costliest column,
+    is never called; without two equal neighbouring scores no such tie is
+    possible and that scan is skipped.
     """
     keys = magnitudes(values) if sort_keys is None else np.asarray(sort_keys, dtype=float)
-    order = np.lexsort((-scores, -keys))
-    if (scores[1:] == scores[:-1]).any():
-        ranked_keys = keys[order]
-        ranked_scores = scores[order]
-        same_key = ranked_keys[1:] == ranked_keys[:-1]
-        same_key |= np.isnan(ranked_keys[1:]) & np.isnan(ranked_keys[:-1])
-        if (same_key & (ranked_scores[1:] == ranked_scores[:-1])).any():
-            order = np.lexsort((tid_strings(), -scores, -keys))
+    negated = -keys
+    order = np.argsort(negated)
+    n = order.size
+    ranked_keys = keys[order]
+    same_key = ranked_keys[1:] == ranked_keys[:-1]
+    if n and np.isnan(ranked_keys[-1]):
+        # NaNs sort last, so they pair up exactly where the first is NaN.
+        same_key |= np.isnan(ranked_keys[:-1])
+    if same_key.any():
+        tied = np.zeros(n, dtype=bool)
+        tied[:-1] = same_key
+        tied[1:] |= same_key
+        slots = np.flatnonzero(tied)
+        if 2 * slots.size > n:
+            # Mostly ties (values that underflowed to zero, say): a stable
+            # sort of everything is cheapest, timsort gallops over the runs.
+            order = np.argsort(negated, kind="stable")
+        else:
+            # Each run of equal keys fills consecutive tied slots: the tied
+            # positions in (-key, position) order refill those slots.
+            positions = np.sort(order[slots])
+            order[slots] = positions[np.argsort(negated[positions], kind="stable")]
+        if (scores[1:] == scores[:-1]).any():
+            ranked_scores = scores[order]
+            if (same_key & (ranked_scores[1:] == ranked_scores[:-1])).any():
+                order = np.lexsort((tid_strings(), -scores, negated))
     return order
 
 

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import PRFOmega, rank
 from repro.approx import STAGE_SETS, approximate_weight_function, dft_approximation
+from repro.approx.dft import _tabulate
 from repro.core.weights import StepWeight, TabulatedWeight
 from repro.metrics import kendall_topk_distance
 from tests.conftest import random_relation
@@ -113,3 +115,72 @@ class TestRankingWithApproximation:
         relation = random_relation(50, rng, allow_certain=False)
         combo = LinearCombinationPRFe([1.0], [0.8])
         assert rank(relation, combo).tids() == rank(relation, PRFe(0.8)).tids()
+
+
+def per_term_deviation(approximation, table, head: int) -> float:
+    """``max |approx(i) - omega(i)|`` over ``1 .. head``, powers by ``alpha ** ranks``."""
+    ranks = np.arange(1, head + 1, dtype=float)
+    approx = np.zeros(head, dtype=complex)
+    for coefficient, alpha in zip(approximation.coefficients, approximation.alphas):
+        approx += coefficient * alpha ** ranks
+    return float(np.max(np.abs(approx - _tabulate(table, head))))
+
+
+def extended_deviation(approximation, table, head: int) -> float:
+    """The same maximum in extended precision (``np.clongdouble`` powers)."""
+    alphas = approximation.alphas.astype(np.clongdouble)
+    coefficients = approximation.coefficients.astype(np.clongdouble)
+    powers = np.cumprod(np.broadcast_to(alphas[:, None], (alphas.size, head)), axis=1)
+    approx = (coefficients[:, None] * powers).sum(axis=0)
+    target = _tabulate(table, head).astype(np.longdouble)
+    return float(np.max(np.abs(approx - target)))
+
+
+def gaussian_table(support: int) -> np.ndarray:
+    ranks = np.arange(1, support + 1, dtype=float)
+    return np.exp(-0.5 * (ranks / (support / 5.0)) ** 2)
+
+
+def smoothed_step_table(support: int) -> np.ndarray:
+    ranks = np.arange(1, support + 1, dtype=float)
+    return 1.0 / (1.0 + np.exp((ranks - support / 2.0) / (support / 40.0)))
+
+
+def assert_bound_covers(approximation, table, upto: int) -> None:
+    head = min(upto, approximation.domain)
+    bound = approximation.error_bound(table, upto)
+    assert bound >= per_term_deviation(approximation, table, head)
+    assert bound >= extended_deviation(approximation, table, head)
+
+
+class TestErrorBound:
+    """``error_bound`` stays certified under its own rounding."""
+
+    @pytest.mark.parametrize("terms", [1, 2, 3, 5, 8, 13, 21, 34, 55, 64])
+    @pytest.mark.parametrize(
+        "table", [gaussian_table(2000), smoothed_step_table(400)], ids=["gauss", "step"]
+    )
+    def test_bound_covers_the_realized_deviation(self, table, terms):
+        support = table.size
+        planner = dft_approximation(
+            table, terms, support=support, extension_fraction=0.5,
+            smooth_extension=True, conjugate_symmetric=True,
+        )
+        paper = dft_approximation(table, terms, support=support)
+        for approximation in (planner, paper):
+            assert_bound_covers(approximation, table, 10**5)
+            assert_bound_covers(approximation, table, support // 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=300),
+        st.integers(1, 64),
+        st.booleans(),
+    )
+    def test_bound_covers_random_decreasing_tables(self, values, terms, symmetric):
+        table = np.sort(np.array(values))[::-1]
+        approximation = dft_approximation(
+            table, terms, support=table.size, conjugate_symmetric=symmetric
+        )
+        assert_bound_covers(approximation, table, 4 * table.size)
+        assert_bound_covers(approximation, table, table.size)

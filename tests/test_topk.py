@@ -20,6 +20,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     PRF,
@@ -30,6 +31,7 @@ from repro import (
     ProbabilisticRelation,
     Tuple,
 )
+from repro.algorithms.independent import rank_independent
 from repro.andxor.ranking import prfe_topk_values_tree, prfe_values_tree
 from repro.andxor.tree import AndXorTree
 from repro.core.weights import NDCGDiscountWeight, StepWeight
@@ -270,6 +272,41 @@ class TestEdgeCases:
 # ---------------------------------------------------------------------------
 # The kernels themselves
 # ---------------------------------------------------------------------------
+#: A small pool, so keys tie often; signed zeros, infinities, NaN and a
+#: subnormal-sized value included.
+TIED_FLOATS = [0.0, -0.0, 0.5, -0.5, 1.0, 2.5e-300, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def order_cases(draw):
+    """``(values, score-descending scores, tid strings, sort keys or None)``.
+
+    Up to a few thousand entries, so the unstable sort really scrambles
+    runs of equal keys: a drawn share of them from a small drawn pool (a
+    few ties up to nothing but ties), the rest distinct.  Scores are
+    distinct or drawn from five values, so key ties come with and without
+    score ties.
+    """
+    n = draw(st.one_of(st.integers(0, 3), st.integers(4, 3000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def column():
+        pool = np.array(draw(st.lists(st.sampled_from(TIED_FLOATS), min_size=1, max_size=4)))
+        tied = rng.random(n) < draw(st.sampled_from([0.0, 0.01, 0.3, 0.6, 1.0]))
+        return np.where(tied, rng.choice(pool, n), rng.normal(0.0, 1.0, n))
+
+    values = column()
+    if draw(st.booleans()):
+        parts = values
+        values = np.empty(n, dtype=complex)
+        values.real, values.imag = parts, column()
+    if draw(st.booleans()):
+        scores = np.arange(n, 0, -1, dtype=float)
+    else:
+        scores = np.sort(rng.integers(0, 5, n).astype(float))[::-1]
+    tids = rng.permutation(n).astype(str)
+    sort_keys = column() if draw(st.booleans()) else None
+    return values, scores, tids, sort_keys
 class TestKernels:
     def test_independent_streamed_kernel_is_bitwise_stable_under_growth(self):
         # The streamed kernel recomputes from scratch at each prefix growth;
@@ -312,6 +349,48 @@ class TestKernels:
         assert expected == ["b", "a"]
         order = ranking_order(values, np.ones(2), lambda: np.array(["a", "b"]))
         assert [tuples[i].tid for i in order] == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(order_cases())
+    def test_ranking_order_equals_the_three_key_lexsort(self, case):
+        values, scores, tids, sort_keys = case
+        calls = []
+        order = ranking_order(values, scores, lambda: calls.append(1) or tids, sort_keys)
+        keys = magnitudes(values) if sort_keys is None else sort_keys
+        two_key = np.lexsort((-scores, -keys))
+        ranked_keys, ranked_scores = keys[two_key], scores[two_key]
+        same_key = (ranked_keys[1:] == ranked_keys[:-1]) | (
+            np.isnan(ranked_keys[1:]) & np.isnan(ranked_keys[:-1])
+        )
+        full_tie = bool((same_key & (ranked_scores[1:] == ranked_scores[:-1])).any())
+        expected = np.lexsort((tids, -scores, -keys)) if full_tie else two_key
+        assert order.tolist() == expected.tolist()
+        assert len(calls) == int(full_tie)
+
+    @pytest.mark.parametrize("distinct_scores", [True, False])
+    def test_zero_probability_tuples_tie_at_minus_infinity(self, distinct_scores):
+        # p = 0 tuples have log key -inf: one run of ties spread over the
+        # relation, broken by score and, among equal scores, by tid string.
+        rng = np.random.default_rng(71)
+        n = 3000
+        if distinct_scores:
+            scores = rng.permutation(n).astype(float)
+        else:
+            scores = rng.integers(0, n // 3, n).astype(float)
+        probabilities = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 1.0, n))
+        tuples = [Tuple(f"t{i}", s, p) for i, (s, p) in enumerate(zip(scores, probabilities))]
+        relation = ProbabilisticRelation(tuples, name="zeros")
+        for rf in (PRFe(0.9), PRFe(1.0), PRFOmega(StepWeight(40))):
+            expected = [(item.tid, item.value) for item in rank_independent(relation, rf)]
+            for data in (relation, relation.to_columnar()):
+                engine = Engine()
+                assert [(i.tid, i.value) for i in engine.rank(data, rf)] == expected
+                many = engine.rank_many(data, [PRFe(0.5), rf])[1]
+                assert [(i.tid, i.value) for i in many] == expected
+                batch = Engine().rank_batch([data, data], rf)
+                assert all([(i.tid, i.value) for i in r] == expected for r in batch)
+                top, _ = Engine().rank_top_k(data, rf, 50)
+                assert [(i.tid, i.value) for i in top] == expected[:50]
 
     def test_tied_tuples_rank_by_tid_string_in_both_forms(self):
         tuples = [Tuple(9, 1.0, 0.0), Tuple(10, 1.0, 0.0), Tuple("x", 2.0, 0.0)]
