@@ -84,6 +84,11 @@ WARM_SWEEP_ALPHAS = 8
 #: Sweeps per tree in the timed region: enough to keep it above ~15 ms on
 #: a 2-core x86 box.
 WARM_SWEEP_ROUNDS = 8
+#: The ``analytic`` workload's independent sweep: 16 PRFe alphas on one
+#: n = 10^5 columnar relation, at the same size in smoke and full runs (the
+#: rows of a stack this size are split across cores).
+ALPHA_SWEEP_N = 100_000
+ALPHA_SWEEP_ALPHAS = 16
 
 
 def _cache_stats(engine: Engine) -> dict:
@@ -702,6 +707,41 @@ def test_andxor_warm_prfe_sweep(benchmark, save_result):
                 f"rank_many of {WARM_SWEEP_ALPHAS} PRFe, warm cache",
                 f"{WARM_SWEEP_ROUNDS} sweeps (s)       {elapsed:.4f}",
                 f"sweep per tree (ms) {elapsed / (WARM_SWEEP_ROUNDS * WARM_SWEEP_TREES) * 1e3:.3f}",
+            ]
+        ),
+    )
+
+
+def test_columnar_alpha_sweep(benchmark, save_result):
+    """The Figure 7 sweep at scale: ``rank_many`` of 16 PRFe on n = 10^5.
+
+    The ``analytic`` workload's independent sweep, on a fresh engine per
+    call: one sort of the relation, the stacked log-space kernel over 16
+    alphas, one ranking sort and two gathers per alpha.  The stack holds
+    1.6 million elements, so its rows run on every core.  Every column
+    must equal the per-alpha ``rank`` of another fresh engine bit for bit.
+    """
+    rng = np.random.default_rng(241)
+    generated = generate_independent(ALPHA_SWEEP_N, rng, columnar=True)
+    relation = ColumnarRelation(generated.scores(), generated.probabilities(), name="sweep")
+    sweep = [PRFe(float(alpha)) for alpha in np.sort(rng.uniform(0.8, 0.99, ALPHA_SWEEP_ALPHAS))]
+
+    swept, elapsed = _best_of(lambda: Engine().rank_many(relation, sweep))
+    run_once(benchmark, lambda: Engine().rank_many(relation, sweep))
+
+    reference = Engine()
+    for rf, result in zip(sweep, swept):
+        expected = reference.rank(relation, rf)
+        assert np.array_equal(result.original_indices(), expected.original_indices())
+        assert np.array_equal(result.values_array(), expected.values_array())
+    save_result(
+        "engine_alpha_sweep",
+        "\n".join(
+            [
+                f"relation            n={ALPHA_SWEEP_N} columnar, rank_many of "
+                f"{ALPHA_SWEEP_ALPHAS} PRFe, fresh engine per call",
+                f"sweep (s)           {elapsed:.4f}",
+                f"per alpha (ms)      {elapsed / ALPHA_SWEEP_ALPHAS * 1e3:.3f}",
             ]
         ),
     )

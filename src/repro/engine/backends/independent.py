@@ -12,9 +12,10 @@ Evaluation strategy per ranking-function spec (Table 3 of the paper):
   wider ones stream, with the same values.
 
 Batches of equal-size relations are stacked and pushed through the
-kernels of :mod:`repro.engine.kernels` in single vectorized passes; all
-results are bit-identical to :func:`repro.algorithms.independent.
-rank_independent`.
+kernels of :mod:`repro.engine.kernels` in single vectorized passes, and
+large real-alpha PRFe stacks split their rows across cores
+(:mod:`repro.engine.parallel`); all results are bit-identical to
+:func:`repro.algorithms.independent.rank_independent`.
 
 Both storage forms take one path: the backend reads only the column
 protocol (:class:`~repro.core.columnar.RelationColumns`) and one
@@ -45,6 +46,7 @@ from ..kernels import (
     batched_prfe_values,
     exp_log_values,
 )
+from ..parallel import row_parts, run_parts
 from ..topk import (
     TopKReport,
     certified,
@@ -81,15 +83,16 @@ def _ranking(
     name: str,
     sort_keys: np.ndarray | None = None,
     k: int | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RankingResult:
     """The ranking of ``relation`` from values over a score-descending prefix.
 
     Without ``k`` the values cover the whole relation and the result is a
-    lazy :class:`ColumnarRankingResult`.  With ``k`` they cover an
-    examined prefix, and only the best ``k`` items are built; the
-    early-termination bound guarantees every unexamined tuple sorts
-    strictly below the k-th examined key, so these are the first ``k``
-    items of the full ranking.
+    lazy :class:`ColumnarRankingResult`, whose position and value arrays
+    are ``out`` when given.  With ``k`` they cover an examined prefix, and
+    only the best ``k`` items are built; the early-termination bound
+    guarantees every unexamined tuple sorts strictly below the k-th
+    examined key, so these are the first ``k`` items of the full ranking.
     """
     values = np.asarray(values)
     m = values.shape[0]
@@ -97,9 +100,69 @@ def _ranking(
         values, entry.scores[:m], lambda: entry.tid_strings(relation, limit=m), sort_keys
     )
     if k is None:
-        return ColumnarRankingResult(relation, entry.order[order], values[order], name=name)
+        if out is None:
+            return ColumnarRankingResult(relation, entry.order[order], values[order], name=name)
+        # order holds valid positions; mode="raise" would buffer the output.
+        entry.order.take(order, out=out[0], mode="clip")
+        values.take(order, out=out[1], mode="clip")
+        return ColumnarRankingResult(relation, out[0], out[1], name=name)
     order = order[:k]
     return ranked_result(relation.tuples_at(entry.order[order]), values[order], name)
+
+
+def _prfe_rankings(
+    relations: Sequence[RelationColumns],
+    entries: Sequence[CachedRelation],
+    P: np.ndarray,
+    alpha,
+    names: Sequence[str],
+) -> list[RankingResult]:
+    """Real-alpha PRFe rankings of every row of the ``(B, n)`` stack ``P``.
+
+    ``alpha`` is one scalar or one per row.  The rows are split across
+    cores (:mod:`repro.engine.parallel`): each part runs the log-space
+    kernel, the exponentials, the ranking sort and both gathers of its
+    rows.  Every row runs the same operations as on one core, so a split
+    changes no bit.
+    """
+    rows, n = P.shape
+    alphas = np.asarray(alpha, dtype=float)
+    log_values = np.empty((rows, n))
+    values = np.zeros((rows, n))
+    results: list[RankingResult | None] = [None] * rows
+    parts = row_parts(rows, rows * n)
+    outputs: list[tuple[np.ndarray, np.ndarray] | None] = [None] * rows
+    if len(parts) > 1:
+        # Pool threads write their rows into arrays allocated here: memory
+        # a thread frees stays in its own malloc arena.  Inline, each result
+        # is allocated after its row's temporaries are freed, and reuses them.
+        outputs = [(np.empty(n, dtype=entry.order.dtype), np.empty(n)) for entry in entries]
+
+    def rank_rows(part: range) -> None:
+        span = slice(part.start, part.stop)
+        batched_prfe_log_values(
+            P[span], alphas if alphas.ndim == 0 else alphas[span], out=log_values[span]
+        )
+        exp_log_values(log_values[span], out=values[span])
+        for row in part:
+            results[row] = _ranking(
+                relations[row],
+                entries[row],
+                values[row],
+                names[row],
+                log_values[row],
+                out=outputs[row],
+            )
+
+    run_parts(rank_rows, parts)
+    return results
+
+
+def _stack(entries: Sequence[CachedRelation], n: int) -> np.ndarray:
+    """The ``(B, n)`` probability stack of equal-size entries."""
+    if not n:
+        return np.zeros((len(entries), 0))
+    return np.stack([entry.probabilities for entry in entries])
 
 
 def _cacheable_row(stack: np.ndarray, row: int) -> np.ndarray:
@@ -152,7 +215,7 @@ class IndependentBackend(RankingBackend):
             # The single-spec case of rank_many: same kernels, shared entry.
             return self.rank_many(relation, [rf], name=label)[0]
         entry = self.entry(relation)
-        values, _ = self._evaluate_stack([relation], [entry], len(relation), rf)
+        values = self._evaluate_stack([relation], [entry], len(relation), rf)
         self.cache.enforce_budget()
         return _ranking(relation, entry, values[0], label)
 
@@ -227,14 +290,24 @@ class IndependentBackend(RankingBackend):
             entries = [self.entry(relations[i], store=store) for i in indices]
             for chunk_indices, chunk_entries in self._chunk(indices, entries, n, rf):
                 chunk = [relations[i] for i in chunk_indices]
-                values, sort_keys = self._evaluate_stack(
-                    chunk, chunk_entries, n, rf, cache_rows=store
-                )
-                for row, (index, relation) in enumerate(zip(chunk_indices, chunk)):
-                    keys = sort_keys[row] if sort_keys is not None else None
-                    results[index] = _ranking(
-                        relation, chunk_entries[row], values[row], relation.name, keys
+                if uses_log_space(rf):
+                    rankings = _prfe_rankings(
+                        chunk,
+                        chunk_entries,
+                        _stack(chunk_entries, n),
+                        rf.alpha,
+                        [relation.name for relation in chunk],
                     )
+                else:
+                    values = self._evaluate_stack(
+                        chunk, chunk_entries, n, rf, cache_rows=store
+                    )
+                    rankings = [
+                        _ranking(relation, entry, row, relation.name)
+                        for relation, entry, row in zip(chunk, chunk_entries, values)
+                    ]
+                for index, result in zip(chunk_indices, rankings):
+                    results[index] = result
         self.cache.enforce_budget()
         return [result for result in results if result is not None]
 
@@ -257,24 +330,18 @@ class IndependentBackend(RankingBackend):
         n: int,
         rf: RankingFunction,
         cache_rows: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Values (and optional sort keys) for a stack of equal-size relations."""
-        P = np.stack([entry.probabilities for entry in entries]) if n else np.zeros(
-            (len(entries), 0)
-        )
+    ) -> np.ndarray:
+        """Values for a stack of equal-size relations (real-alpha PRFe aside)."""
+        P = _stack(entries, n)
         if isinstance(rf, PRFe):
-            alpha = rf.alpha
-            if uses_log_space(rf):
-                log_values = batched_prfe_log_values(P, alpha)
-                return exp_log_values(log_values), log_values
-            return batched_prfe_values(P, alpha), None
+            return batched_prfe_values(P, rf.alpha)
         if isinstance(rf, LinearCombinationPRFe):
-            return batched_lincomb_values(P, rf.coefficients, rf.alphas), None
+            return batched_lincomb_values(P, rf.coefficients, rf.alphas)
         weights = general_weights(rf, n)
         prefix = None
         if n * weights.size <= _MATERIALIZE_ELEMENTS:
             prefix = self._stacked_prefixes(entries, P, weights.size, cache_rows=cache_rows)
-        return batched_general_values(P, weights, _factors(rf, relations), prefix), None
+        return batched_general_values(P, weights, _factors(rf, relations), prefix)
 
     def _stacked_prefixes(
         self,
@@ -332,10 +399,18 @@ class IndependentBackend(RankingBackend):
         other = [i for i in range(len(rfs)) if i not in set(sweep) | set(general)]
 
         if sweep:
-            for index, values, log_values in self._prfe_alpha_sweep(
-                entry, [(i, rfs[i].alpha) for i in sweep]
-            ):
-                results[index] = _ranking(relation, entry, values, label, log_values)
+            # The Figure 7 sweep: the relation broadcast across the rows,
+            # one alpha per row, through the kernel that serves rank_batch.
+            p = entry.probabilities
+            rankings = _prfe_rankings(
+                [relation] * len(sweep),
+                [entry] * len(sweep),
+                np.broadcast_to(p, (len(sweep), p.size)),
+                [rfs[i].alpha for i in sweep],
+                [label] * len(sweep),
+            )
+            for index, result in zip(sweep, rankings):
+                results[index] = result
         if other:
             # Complex-alpha PRFe and LinearCombinationPRFe specs: already
             # O(n) closed forms, evaluated from the shared cache entry so no
@@ -354,20 +429,6 @@ class IndependentBackend(RankingBackend):
                 results[index] = _ranking(relation, entry, values, label)
         self.cache.enforce_budget()
         return [result for result in results if result is not None]
-
-    def _prfe_alpha_sweep(self, entry: CachedRelation, specs):
-        """Stacked log-space PRFe evaluation over many real alphas.
-
-        One relation broadcast across the rows, one alpha per row — the
-        same kernel that serves ``rank_batch``.
-        """
-        p = entry.probabilities
-        alphas = np.array([alpha for _, alpha in specs], dtype=float)
-        P = np.broadcast_to(p, (alphas.size, p.size))
-        log_values = batched_prfe_log_values(P, alphas)
-        values = exp_log_values(log_values)
-        for row, (index, _) in enumerate(specs):
-            yield index, values[row], log_values[row]
 
     def _general_many(self, relation: RelationColumns, entry: CachedRelation, specs):
         """General-weight specs sharing one cached prefix matrix."""

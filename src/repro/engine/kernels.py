@@ -18,8 +18,11 @@ all of those calls return the same values bit for bit.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
+
+from .parallel import row_parts, run_parts
 
 __all__ = [
     "batched_prefix_matrices",
@@ -175,13 +178,16 @@ def batched_general_values(
     return values
 
 
-def batched_prfe_log_values(P: np.ndarray, alpha) -> np.ndarray:
+def batched_prfe_log_values(P: np.ndarray, alpha, out: np.ndarray | None = None) -> np.ndarray:
     """Log-magnitudes of PRFe(alpha) per row for real ``alpha`` in (0, 1].
 
     Mirrors :func:`repro.algorithms.independent.prfe_log_values` row-wise.
     ``alpha`` is either one scalar shared by every row or a length-``B``
     vector giving each row its own alpha (the Figure 7 sweep: one relation
-    broadcast across the rows, one alpha per row).
+    broadcast across the rows, one alpha per row).  The log-values are
+    written into ``out`` (a new ``(B, n)`` array when omitted), which also
+    holds the log-factors while they are summed, so no other row-sized
+    array is allocated.
     """
     P = np.asarray(P, dtype=float)
     alphas = np.asarray(alpha, dtype=float)
@@ -197,11 +203,15 @@ def batched_prfe_log_values(P: np.ndarray, alpha) -> np.ndarray:
     # A broadcast stack (the alpha sweep: one relation, one alpha per row)
     # has a single distinct row of P, so its alpha-free terms run once.
     base = P[:1] if P.strides[0] == 0 else P
-    log_factors = (1.0 - base) + P * column
-    np.log(np.maximum(log_factors, _LOG_EPS, out=log_factors), out=log_factors)
-    log_values = np.empty_like(log_factors)
+    log_values = np.empty(P.shape) if out is None else out
+    # Row i's prefix is the sum of the log-factors of tuples 0 .. i-1: they
+    # are written one column to the right and summed in place.
+    factors = log_values[:, 1:]
+    np.multiply(P[:, :-1], column, out=factors)
+    factors += 1.0 - base[:, :-1]
+    np.log(np.maximum(factors, _LOG_EPS, out=factors), out=factors)
+    np.cumsum(factors, axis=1, out=factors)
     log_values[:, :1] = 0.0
-    np.cumsum(log_factors[:, :-1], axis=1, out=log_values[:, 1:])
     with np.errstate(divide="ignore"):
         log_probabilities = np.where(
             base > 0.0, np.log(np.maximum(base, _LOG_EPS)), -np.inf
@@ -219,15 +229,18 @@ def batched_prfe_log_values(P: np.ndarray, alpha) -> np.ndarray:
     return log_values
 
 
-def exp_log_values(log_values: np.ndarray) -> np.ndarray:
+def exp_log_values(log_values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.exp(log_values)`` bit for bit, skipping the entries that round to 0.
 
     ``np.exp`` runs a slow path on inputs whose result underflows, and on
     large relations most log-values do (97% of PRFe(0.95) at n = 10^6).
     Every input at or below :data:`_EXP_CUTOFF` has the result ``0.0``
-    exactly, so only the others are exponentiated.
+    exactly, so only the others are exponentiated.  The result goes to
+    ``out`` when given, which must hold zeros: only the others are written,
+    so the pages of an ``np.zeros`` array that hold nothing but underflow
+    are never touched and cost no memory.
     """
-    values = np.zeros(log_values.shape)
+    values = np.zeros(log_values.shape) if out is None else out
     with np.errstate(over="ignore", under="ignore"):
         # NaN is not <= the cutoff, so it stays NaN.
         np.exp(log_values, out=values, where=~(log_values <= _EXP_CUTOFF))
@@ -290,6 +303,43 @@ def _conjugate_pair_split(
     return singles, representatives
 
 
+def _term_values(kind: str, P, complement, coefficient, alpha, factors, prefix):
+    """One term's contribution to :func:`batched_lincomb_values`, in the given buffers.
+
+    ``kind`` is ``"real"`` (a real term, real arithmetic), ``"pair"`` (a
+    conjugate pair's representative) or ``"complex"`` (the generic loop);
+    ``factors`` and ``prefix`` are complex ``(B, n)`` buffers, viewed as
+    real for a real term.  A real contribution is written over the
+    factors, which the cumulative product has consumed.  Returns the
+    buffer holding the contribution.
+    """
+    n = P.shape[1]
+    real_factors = factors.view(float)[:, :n]
+    if kind == "real":
+        factors = real_factors
+        prefix = prefix.view(float)[:, :n]
+        np.multiply(P, float(alpha.real), out=factors)
+    else:
+        np.multiply(P, alpha if kind == "complex" else complex(alpha), out=factors)
+    factors += complement
+    prefix[:, 0] = 1.0
+    if n > 1:
+        np.cumprod(factors[:, :-1], axis=1, out=prefix[:, 1:])
+    if kind == "real":
+        np.multiply(prefix, P, out=real_factors)
+        real_factors *= float((coefficient * alpha).real)
+        return real_factors
+    if kind == "pair":
+        # u* conj-term + u term = 2 Re(u alpha prefix) p per tuple.
+        prefix *= 2.0 * (coefficient * alpha)
+        np.multiply(prefix.real, P, out=real_factors)
+        return real_factors
+    prefix *= P
+    prefix *= alpha
+    prefix *= coefficient
+    return prefix
+
+
 def batched_lincomb_values(
     P: np.ndarray, coefficients: np.ndarray, alphas: np.ndarray
 ) -> np.ndarray:
@@ -308,6 +358,11 @@ def batched_lincomb_values(
     conjugate pair contributes ``2 Re(u alpha prefix) p`` from one
     cumulative product, all in real arithmetic, and the returned array
     is real float64.  Arbitrary term sets keep the generic complex loop.
+
+    Large stacks compute one term per core at a time (see
+    :mod:`repro.engine.parallel`), each into its own buffers, and the
+    calling thread adds the terms to the values in term order, so the
+    sum is the same at any core count.
     """
     P = np.asarray(P, dtype=float)
     coefficients = np.asarray(coefficients, dtype=complex)
@@ -319,47 +374,29 @@ def batched_lincomb_values(
     pairing = _conjugate_pair_split(coefficients, alphas)
     if pairing is not None:
         singles, representatives = pairing
+        terms = [("real", l) for l in singles] + [("pair", l) for l in representatives]
         values = np.zeros((B, n), dtype=float)
-        accumulator = np.empty((B, n), dtype=float)
-        if singles:
-            real_factors = np.empty((B, n), dtype=float)
-            real_prefix = np.empty((B, n), dtype=float)
-            for l in singles:
-                alpha = float(alphas[l].real)
-                np.multiply(P, alpha, out=real_factors)
-                real_factors += complement
-                real_prefix[:, 0] = 1.0
-                if n > 1:
-                    np.cumprod(real_factors[:, :-1], axis=1, out=real_prefix[:, 1:])
-                np.multiply(real_prefix, P, out=accumulator)
-                accumulator *= float((coefficients[l] * alphas[l]).real)
-                values += accumulator
-        if representatives:
-            factors = np.empty((B, n), dtype=complex)
-            prefix = np.empty((B, n), dtype=complex)
-            for l in representatives:
-                alpha = complex(alphas[l])
-                np.multiply(P, alpha, out=factors)
-                factors += complement
-                prefix[:, 0] = 1.0
-                if n > 1:
-                    np.cumprod(factors[:, :-1], axis=1, out=prefix[:, 1:])
-                # u* conj-term + u term = 2 Re(u alpha prefix) p per tuple.
-                prefix *= 2.0 * (coefficients[l] * alphas[l])
-                np.multiply(prefix.real, P, out=accumulator)
-                values += accumulator
-        return values
-    values = np.zeros((B, n), dtype=complex)
-    factors = np.empty((B, n), dtype=complex)
-    prefix = np.empty((B, n), dtype=complex)
-    for coefficient, alpha in zip(coefficients, alphas):
-        np.multiply(P, alpha, out=factors)
-        factors += complement
-        prefix[:, 0] = 1.0
-        if n > 1:
-            np.cumprod(factors[:, :-1], axis=1, out=prefix[:, 1:])
-        prefix *= P
-        prefix *= alpha
-        prefix *= coefficient
-        values += prefix
+    else:
+        terms = [("complex", l) for l in range(alphas.size)]
+        values = np.zeros((B, n), dtype=complex)
+    # Every wave hands each core one term and ends in a join, so a single
+    # term's stack is the work that must clear the parallel floor.
+    slots = len(row_parts(len(terms), B * n))
+    buffers = [
+        (np.empty((B, n), dtype=complex), np.empty((B, n), dtype=complex)) for _ in range(slots)
+    ]
+    contributions: list[np.ndarray | None] = [None] * slots
+
+    def compute(first: int, part: range) -> None:
+        for slot in part:
+            kind, l = terms[first + slot]
+            contributions[slot] = _term_values(
+                kind, P, complement, coefficients[l], alphas[l], *buffers[slot]
+            )
+
+    for first in range(0, len(terms), slots):
+        wave = min(slots, len(terms) - first)
+        run_parts(partial(compute, first), [range(slot, slot + 1) for slot in range(wave)])
+        for slot in range(wave):
+            values += contributions[slot]
     return values

@@ -177,36 +177,72 @@ def ranking_order(
     When no two positions tie on both key and score that order already is
     the three-key one and ``tid_strings()``, usually the costliest column,
     is never called; without two equal neighbouring scores no such tie is
-    possible and that scan is skipped.
+    possible and that scan is skipped.  Before any sort, one pass counts
+    the keys equal to ``0`` (magnitudes that underflowed) or, for
+    ``sort_keys``, ``-inf`` (log-values of ``p = 0`` tuples); when they
+    are more than half, the stable order is built around them and only
+    the other keys are sorted.
     """
     keys = magnitudes(values) if sort_keys is None else np.asarray(sort_keys, dtype=float)
     negated = -keys
-    order = np.argsort(negated)
-    n = order.size
-    ranked_keys = keys[order]
-    same_key = ranked_keys[1:] == ranked_keys[:-1]
-    if n and np.isnan(ranked_keys[-1]):
-        # NaNs sort last, so they pair up exactly where the first is NaN.
-        same_key |= np.isnan(ranked_keys[:-1])
-    if same_key.any():
+    n = keys.size
+    # Magnitudes that underflowed to 0, or log-values of p = 0 tuples.
+    common = 0.0 if sort_keys is None else -math.inf
+    if 2 * np.count_nonzero(keys == common) > n:
+        order = _stable_order_around(negated, -common)
+        same_key = None
+    else:
+        order = np.argsort(negated)
+        same_key = _equal_neighbours(keys[order])
+        if not same_key.any():
+            return order
         tied = np.zeros(n, dtype=bool)
         tied[:-1] = same_key
         tied[1:] |= same_key
         slots = np.flatnonzero(tied)
         if 2 * slots.size > n:
-            # Mostly ties (values that underflowed to zero, say): a stable
-            # sort of everything is cheapest, timsort gallops over the runs.
+            # Mostly ties (a few distinct keys, say): a stable sort of
+            # everything is cheapest, timsort gallops over the runs.
             order = np.argsort(negated, kind="stable")
         else:
             # Each run of equal keys fills consecutive tied slots: the tied
             # positions in (-key, position) order refill those slots.
             positions = np.sort(order[slots])
             order[slots] = positions[np.argsort(negated[positions], kind="stable")]
-        if (scores[1:] == scores[:-1]).any():
-            ranked_scores = scores[order]
-            if (same_key & (ranked_scores[1:] == ranked_scores[:-1])).any():
-                order = np.lexsort((tid_strings(), -scores, negated))
+    if (scores[1:] == scores[:-1]).any():
+        if same_key is None:
+            same_key = _equal_neighbours(keys[order])
+        ranked_scores = scores[order]
+        if (same_key & (ranked_scores[1:] == ranked_scores[:-1])).any():
+            order = np.lexsort((tid_strings(), -scores, negated))
     return order
+
+
+def _equal_neighbours(ranked_keys: np.ndarray) -> np.ndarray:
+    """Whether each sorted key equals the next: ``==``, or both NaN (NaNs sort last)."""
+    same_key = ranked_keys[1:] == ranked_keys[:-1]
+    if ranked_keys.size and np.isnan(ranked_keys[-1]):
+        # NaNs sort last, so they pair up exactly where the first is NaN.
+        same_key |= np.isnan(ranked_keys[:-1])
+    return same_key
+
+
+def _stable_order_around(negated: np.ndarray, common: float) -> np.ndarray:
+    """``np.argsort(negated, kind="stable")`` where most entries equal ``common``.
+
+    Those entries take their place in position order; only the others
+    are sorted.  NaN is neither below nor at ``common``, so it lands in
+    the last part, whose sort puts it last, as ``np.argsort`` does.
+    """
+    above = np.flatnonzero(negated < common)
+    below = np.flatnonzero(~(negated <= common))
+    return np.concatenate(
+        [
+            above[np.argsort(negated[above], kind="stable")],
+            np.flatnonzero(negated == common),
+            below[np.argsort(negated[below], kind="stable")],
+        ]
+    )
 
 
 def ranked_result(items: Sequence[Tuple], values: np.ndarray, name: str) -> RankingResult:

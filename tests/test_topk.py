@@ -307,6 +307,32 @@ def order_cases(draw):
     tids = rng.permutation(n).astype(str)
     sort_keys = column() if draw(st.booleans()) else None
     return values, scores, tids, sort_keys
+@st.composite
+def mostly_common_cases(draw):
+    """Order cases where more than half the keys are ``0`` or, as sort keys, ``-inf``.
+
+    The rest are distinct normals (signed, so some sort on either side of
+    ``0``), ties among themselves, NaN and ``-0.0``.
+    """
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    as_sort_keys = draw(st.booleans())
+    common = -np.inf if as_sort_keys else 0.0
+    keys = rng.normal(0.0, 1.0, n)
+    keys[rng.random(n) < 0.05] = np.nan
+    keys[rng.random(n) < 0.05] = 0.5
+    keys[rng.random(n) < draw(st.sampled_from([0.0, 0.1]))] = -0.0
+    keys[rng.permutation(n)[: draw(st.integers(n // 2 + 1, n))]] = common
+    if draw(st.booleans()):
+        scores = np.arange(n, 0, -1, dtype=float)
+    else:
+        scores = np.sort(rng.integers(0, 5, n).astype(float))[::-1]
+    tids = rng.permutation(n).astype(str)
+    if as_sort_keys:
+        return rng.uniform(0.0, 1.0, n), scores, tids, keys
+    return np.abs(keys), scores, tids, None
+
+
 class TestKernels:
     def test_independent_streamed_kernel_is_bitwise_stable_under_growth(self):
         # The streamed kernel recomputes from scratch at each prefix growth;
@@ -357,6 +383,25 @@ class TestKernels:
         calls = []
         order = ranking_order(values, scores, lambda: calls.append(1) or tids, sort_keys)
         keys = magnitudes(values) if sort_keys is None else sort_keys
+        two_key = np.lexsort((-scores, -keys))
+        ranked_keys, ranked_scores = keys[two_key], scores[two_key]
+        same_key = (ranked_keys[1:] == ranked_keys[:-1]) | (
+            np.isnan(ranked_keys[1:]) & np.isnan(ranked_keys[:-1])
+        )
+        full_tie = bool((same_key & (ranked_scores[1:] == ranked_scores[:-1])).any())
+        expected = np.lexsort((tids, -scores, -keys)) if full_tie else two_key
+        assert order.tolist() == expected.tolist()
+        assert len(calls) == int(full_tie)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mostly_common_cases())
+    def test_mostly_zero_or_minus_infinity_keys_keep_the_three_key_order(self, case):
+        values, scores, tids, sort_keys = case
+        keys = magnitudes(values) if sort_keys is None else sort_keys
+        common = 0.0 if sort_keys is None else -np.inf
+        assert 2 * np.count_nonzero(keys == common) > keys.size
+        calls = []
+        order = ranking_order(values, scores, lambda: calls.append(1) or tids, sort_keys)
         two_key = np.lexsort((-scores, -keys))
         ranked_keys, ranked_scores = keys[two_key], scores[two_key]
         same_key = (ranked_keys[1:] == ranked_keys[:-1]) | (
