@@ -7,7 +7,6 @@ from .attribute_uncertainty import (
 )
 from .independent import (
     positional_probabilities,
-    prf_values,
     prfe_log_values,
     prfe_values,
     rank_distributions,
@@ -34,7 +33,6 @@ __all__ = [
     "expand_to_tree",
     "rank_uncertain_scores",
     "positional_probabilities",
-    "prf_values",
     "prfe_values",
     "prfe_log_values",
     "rank_distributions",

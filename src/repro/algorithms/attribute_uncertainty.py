@@ -19,9 +19,10 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..core.prf import PRFe, RankingFunction
+from ..core.prf import RankingFunction
 from ..core.result import RankingResult
 from ..core.tuples import Tuple
+from ..engine import Engine
 
 __all__ = ["ScoreDistributionTuple", "expand_to_tree", "rank_uncertain_scores"]
 
@@ -114,14 +115,8 @@ def rank_uncertain_scores(
     representative :class:`~repro.core.tuples.Tuple` per original tuple,
     carrying its expected score and total existence probability.
     """
-    from ..andxor.ranking import prf_values_tree, prfe_values_tree
-
     tree = expand_to_tree(items, name=name)
-    if isinstance(rf, PRFe):
-        ordered, values = prfe_values_tree(tree, rf.alpha)
-    else:
-        ordered, values = prf_values_tree(tree, rf)
-    by_alternative = {t.tid: value for t, value in zip(ordered, values)}
+    by_alternative = Engine().rank(tree, rf).values()
 
     representatives: list[Tuple] = []
     totals: list[complex] = []

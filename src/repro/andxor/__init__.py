@@ -9,7 +9,6 @@ from .generating import (
     world_size_distribution,
 )
 from .ranking import (
-    prf_values_tree,
     prfe_values_tree,
     prfe_values_tree_recompute,
     rank_tree,
@@ -28,7 +27,6 @@ __all__ = [
     "subset_size_distribution",
     "positional_distribution",
     "positional_probabilities_tree",
-    "prf_values_tree",
     "prfe_values_tree",
     "prfe_values_tree_recompute",
     "rank_tree",

@@ -1,15 +1,13 @@
 """Ranking algorithms over probabilistic and/xor trees (Sections 4.2 and 4.3).
 
-Two evaluation strategies are provided:
+Two evaluation strategies exist:
 
-* :func:`prf_values_tree` — the general ``ANDXOR-PRF-RANK`` path: positional
-  probabilities are obtained from the tree's generating function and
-  combined with the weight vector.  All ``n`` tuples' generating
-  functions are built in one stacked walk of the tree
-  (:func:`~repro.andxor.generating.positional_probabilities_tree`):
-  every numpy operation covers all ``n`` tuples, and an and node's
-  product takes one operation per coefficient of its lower-degree
-  operand, truncated at the horizon ``h``.
+* the general ``ANDXOR-PRF-RANK`` path: positional probabilities are
+  obtained from the tree's generating function
+  (:func:`~repro.andxor.generating.positional_probabilities_tree`, all
+  ``n`` tuples in one stacked walk of the tree) and combined with the
+  weight vector by
+  :meth:`~repro.core.prf.RankingFunction.evaluate_positional`;
 * :func:`prfe_values_tree` / :func:`prfe_values_stacked` —
   ``ANDXOR-PRFe-RANK`` (Algorithm 3): the PRFe value of the i-th tuple is
   ``F^i(alpha, alpha) - F^i(alpha, 0)``, the tree's generating function
@@ -27,10 +25,9 @@ Two evaluation strategies are provided:
   :func:`prfe_topk_values_stacked` runs the same walk on growing row
   prefixes for top-k queries.
 
-Both return values aligned to the score-descending tuple order;
-:func:`rank_tree` wraps them in a :class:`~repro.core.result.RankingResult`
-and dispatches on the ranking-function type exactly like the
-independent-tuple entry point.
+Values are aligned to the score-descending tuple order.  The engine's
+and/xor backend picks the strategy per ranking function and caches what
+it builds; :func:`rank_tree` is an engine call.
 """
 
 from __future__ import annotations
@@ -42,51 +39,19 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..core.prf import LinearCombinationPRFe, PRFe, RankingFunction
+from ..core.prf import RankingFunction
 from ..core.result import RankingResult
 from ..core.tuples import Tuple
-from .generating import positional_probabilities_tree
 from .tree import AndNode, AndXorTree, LeafNode, Node, XorNode
 
 __all__ = [
     "PRFeLayout",
-    "prf_values_tree",
     "prfe_values_stacked",
     "prfe_values_tree",
     "prfe_topk_values_stacked",
-    "prfe_topk_values_tree",
     "prfe_values_tree_recompute",
     "rank_tree",
 ]
-
-# ---------------------------------------------------------------------------
-# General PRF evaluation through positional probabilities
-# ---------------------------------------------------------------------------
-def prf_values_tree(
-    tree: AndXorTree,
-    rf: RankingFunction,
-    positional: tuple[list[Tuple], np.ndarray] | None = None,
-) -> tuple[list[Tuple], np.ndarray]:
-    """PRF values of every leaf via the tree's positional probabilities.
-
-    ``positional`` optionally supplies a precomputed ``(ordered, matrix)``
-    pair (the engine's cached matrix); it must equal what
-    :func:`positional_probabilities_tree` would return for the ranking
-    function's horizon.
-    """
-    if positional is None:
-        horizon = rf.weight.horizon
-        ordered, matrix = positional_probabilities_tree(tree, max_rank=horizon)
-    else:
-        ordered, matrix = positional
-    limit = matrix.shape[1]
-    weights = rf.weight.as_array(limit)[1:]
-    dtype = float if rf.is_real() else complex
-    weights = weights.astype(dtype)
-    values = matrix.astype(dtype) @ weights
-    factors = np.array([rf.factor(t) for t in ordered], dtype=float)
-    return ordered, values * factors
-
 
 # ---------------------------------------------------------------------------
 # Stacked PRFe evaluation (Algorithm 3 over rows x alpha)
@@ -543,19 +508,6 @@ def prfe_topk_values_stacked(
     return values, n, bound
 
 
-def prfe_topk_values_tree(
-    tree: AndXorTree, alpha: float, k: int, safety: float = 1.0 + 1e-9
-) -> tuple[list[Tuple], np.ndarray, int, float]:
-    """Early-terminated PRFe for a real-alpha top-k query.
-
-    Returns ``(sorted_tuples, values_prefix, examined, bound)`` as
-    :func:`prfe_topk_values_stacked` computes them; the prefix values are
-    bit-identical to the same slice of :func:`prfe_values_tree`.
-    """
-    values, examined, bound = prfe_topk_values_stacked(PRFeLayout(tree), alpha, k, safety)
-    return tree.sorted_tuples(), values, examined, bound
-
-
 def prfe_values_tree_recompute(
     tree: AndXorTree, alpha: complex
 ) -> tuple[list[Tuple], np.ndarray]:
@@ -601,17 +553,11 @@ def prfe_values_tree_recompute(
 # Top-level entry point
 # ---------------------------------------------------------------------------
 def rank_tree(tree: AndXorTree, rf: RankingFunction, name: str = "") -> RankingResult:
-    """Rank the leaves of an and/xor tree by any PRF-family ranking function."""
-    if isinstance(rf, PRFe):
-        ordered, values = prfe_values_tree(tree, rf.alpha)
-        return RankingResult.from_values(ordered, values.tolist(), name=name or tree.name)
-    if isinstance(rf, LinearCombinationPRFe):
-        ordered = tree.sorted_tuples()
-        terms = rf.terms()
-        columns = prfe_values_stacked(PRFeLayout(tree), [alpha for _, alpha in terms])
-        total = np.zeros(len(ordered), dtype=complex)
-        for (coefficient, _), values in zip(terms, columns):
-            total = total + coefficient * values.astype(complex)
-        return RankingResult.from_values(ordered, total.tolist(), name=name or tree.name)
-    ordered, values = prf_values_tree(tree, rf)
-    return RankingResult.from_values(ordered, values.tolist(), name=name or tree.name)
+    """Rank the leaves of an and/xor tree by any PRF-family ranking function.
+
+    ``Engine().rank(tree, rf, name=name)``.
+    """
+    # Imported here: the engine's and/xor backend imports this module.
+    from ..engine import Engine
+
+    return Engine().rank(tree, rf, name=name)

@@ -69,6 +69,21 @@ class RankingFunction:
         """Whether the ranking values are guaranteed real."""
         return self.weight.is_real()
 
+    def evaluate_positional(self, ordered: Sequence[Tuple], matrix: np.ndarray) -> np.ndarray:
+        """``Upsilon(t_i) = g(t_i) sum_j omega(j) Pr(r(t_i) = j)`` for every row.
+
+        Definition 3 applied to positional probabilities
+        ``matrix[i, j - 1] = Pr(r(ordered[i]) = j)``; columns past the
+        matrix's width count as zero (a horizon, or ``max_rank``).  The
+        and/xor and Markov evaluators of every spec they do not run as a
+        closed form end here.
+        """
+        dtype = float if self.is_real() else complex
+        weights = self.weight.as_array(matrix.shape[1])[1:].astype(dtype)
+        values = matrix.astype(dtype) @ weights
+        factors = np.array([self.factor(t) for t in ordered], dtype=float)
+        return values * factors
+
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}({self.weight!r})"
 

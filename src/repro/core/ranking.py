@@ -49,9 +49,9 @@ def rank(data, rf: RankingFunction, name: str = "") -> RankingResult:
     Returns
     -------
     RankingResult
-        The complete ranking, best tuple first.  Results are numerically
-        identical to the legacy per-model algorithms
-        (``rank_independent``, ``rank_tree``, ``rank_markov_network``).
+        The complete ranking, best tuple first, with the same bits as the
+        per-model entry points (``rank_independent``, ``rank_tree``,
+        ``rank_markov_network``), which are ``Engine().rank`` calls.
     """
     from ..engine import default_engine
 

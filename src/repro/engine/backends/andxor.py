@@ -11,21 +11,22 @@ Evaluation strategy per ranking-function spec (Sections 4.2/4.3):
   on the entry, so alpha sweeps and repeated batches skip the walk.
   :meth:`AndXorBackend.rank_many` gathers every alpha of its specs that
   is not memoized yet into one kernel call.
-* LinearCombinationPRFe — its terms' alphas share that call; the columns
-  are combined exactly as the legacy entry point does.
+* LinearCombinationPRFe — its terms' alphas share that call, and the
+  columns are summed term by term.
 * General weights — positional probabilities from the tree's generating
   functions, all tuples built in one stacked tree walk
   (:func:`~repro.andxor.generating.positional_probabilities_tree`),
   cached per tree and served to every horizon by slicing (the truncated
   coefficients are bit-identical; see
   :class:`~repro.engine.cache.CachedTree`), then one vectorized
-  ``matrix @ weights`` pass per tree.
+  ``matrix @ weights`` pass per tree
+  (:meth:`~repro.core.prf.RankingFunction.evaluate_positional`).
 
 The cache entry refers to no tree: content-equal trees share it, every
 evaluator runs on the caller's tree, and results carry the caller's leaf
 tuples.  A PRFe column's arithmetic does not depend on the other alphas
-it is stacked with, so all paths and the legacy
-:func:`~repro.andxor.ranking.rank_tree` produce bit-identical rankings.
+it is stacked with, so all paths produce bit-identical rankings;
+:func:`~repro.andxor.ranking.rank_tree` is an engine call.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ...andxor.ranking import prf_values_tree, prfe_topk_values_stacked, prfe_values_stacked
+from ...andxor.ranking import prfe_topk_values_stacked, prfe_values_stacked
 from ...andxor.tree import AndXorTree
 from ...core.prf import LinearCombinationPRFe, PRFe, RankingFunction
 from ...core.result import RankingResult
 from ..cache import CachedTree
+from ..kernels import clamped_limit
 from ..topk import BOUND_SAFETY, TopKReport, certified, prunable, validated_k
 from .base import CorrelatedBackend, build_result
 
@@ -148,15 +150,12 @@ class AndXorBackend(CorrelatedBackend):
             if isinstance(rf, PRFe):
                 values = columns[complex(rf.alpha)]
             elif isinstance(rf, LinearCombinationPRFe):
-                # Same term-by-term accumulation as the legacy rank_tree path.
                 values = np.zeros(entry.n, dtype=complex)
                 for coefficient, alpha in rf.terms():
                     values = values + coefficient * columns[complex(alpha)].astype(complex)
             else:
-                limit = self._clamped_limit(entry.n, rf.weight.horizon)
-                matrix = entry.positional_matrix(tree, limit)
-                ordered = entry.sorted_tuples(tree.tuples())
-                _, values = prf_values_tree(tree, rf, positional=(ordered, matrix))
+                matrix = entry.positional_matrix(tree, clamped_limit(entry.n, rf.weight.horizon))
+                values = rf.evaluate_positional(entry.sorted_tuples(tree.tuples()), matrix)
             results.append(values)
         return results
 
@@ -187,7 +186,7 @@ class AndXorBackend(CorrelatedBackend):
         """Marginal existence probability per leaf tuple identifier."""
         return tree.marginal_probabilities()
 
-    def _cold_distribution(self, tree: AndXorTree, entry, tid, max_rank) -> np.ndarray:
+    def _cold_distribution(self, tree: AndXorTree, entry, tid, limit: int) -> np.ndarray:
         """The one-tuple generating function.
 
         At full width on Syn-XOR that measured ~2x cheaper than building
@@ -196,4 +195,4 @@ class AndXorBackend(CorrelatedBackend):
         """
         from ...andxor.generating import positional_distribution
 
-        return positional_distribution(tree, tid, max_rank=max_rank)
+        return positional_distribution(tree, tid, max_rank=limit)

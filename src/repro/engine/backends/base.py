@@ -23,6 +23,7 @@ import numpy as np
 from ...core.prf import RankingFunction
 from ...core.result import ColumnarRankingResult, RankingResult, TupleRows
 from ...core.tuples import Tuple
+from ..kernels import clamped_limit
 from ..topk import TopKReport, ranked_result, ranking_order, validated_k
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -170,11 +171,6 @@ class RankingBackend(ABC):
         ordered, matrix = self.positional_matrix(data, max_rank=max_rank)
         return distribution_row(ordered, matrix, tid, matrix.shape[1])
 
-    @staticmethod
-    def _clamped_limit(n: int, max_rank: int | None) -> int:
-        """``max_rank`` (or a weight horizon) clamped into ``[0, n]``."""
-        return n if max_rank is None else min(int(max_rank), n)
-
 
 class CorrelatedBackend(RankingBackend):
     """The paths the and/xor and Markov backends share.
@@ -199,11 +195,11 @@ class CorrelatedBackend(RankingBackend):
         return [self._values(data, entry, rf) for rf in rfs]
 
     @abstractmethod
-    def _cold_distribution(self, data, entry, tid: Any, max_rank: int | None) -> np.ndarray:
-        """One tuple's rank distribution without a cached positional matrix."""
+    def _cold_distribution(self, data, entry, tid: Any, limit: int) -> np.ndarray:
+        """One tuple's rank distribution over ranks ``1 .. limit``, uncached."""
 
     def rank(self, data, rf: RankingFunction, name: str = "") -> RankingResult:
-        """Rank one dataset (bit-identical to the model's legacy entry point)."""
+        """Rank one dataset: the single-spec case of :meth:`rank_many`."""
         return self.rank_many(data, [rf], name=name)[0]
 
     def rank_many(
@@ -232,7 +228,7 @@ class CorrelatedBackend(RankingBackend):
         the cache (memoized values, positional matrices) rather than a
         stacked kernel — stacking the per-dataset ``matrix @ weights``
         passes into one 3-D matmul perturbs the last ulp, which would
-        break the bitwise contract with the legacy entry points.
+        make a dataset's values depend on its batch.
         """
         results = []
         for data in datasets:
@@ -247,10 +243,10 @@ class CorrelatedBackend(RankingBackend):
     ) -> tuple[list[Tuple], np.ndarray]:
         """Cached positional probabilities (fresh-matrix contract)."""
         entry = self.entry(data)
-        matrix = entry.positional_matrix(data, self._clamped_limit(entry.n, max_rank))
+        matrix = entry.positional_matrix(data, clamped_limit(entry.n, max_rank))
         self.cache.enforce_budget()
-        # Copy: the legacy path returned a fresh matrix per call, and a
-        # caller mutating a view would silently corrupt the cache.
+        # Copy: every call returns a fresh matrix, and a caller mutating
+        # a view would silently corrupt the cache.
         return entry.sorted_tuples(self._tuples(data)), matrix.copy()
 
     def sorted_tuples(self, data) -> list[Tuple]:
@@ -264,11 +260,11 @@ class CorrelatedBackend(RankingBackend):
         exists; otherwise the model's one-tuple computation runs.
         """
         entry = self.entry(data)
-        limit = self._clamped_limit(entry.n, max_rank)
+        limit = clamped_limit(entry.n, max_rank)
         positional = entry.positional
         if positional is not None and positional.shape[1] >= limit:
             ordered = entry.sorted_tuples(self._tuples(data))
             return distribution_row(ordered, positional, tid, limit)
-        distribution = self._cold_distribution(data, entry, tid, max_rank)
+        distribution = self._cold_distribution(data, entry, tid, limit)
         self.cache.enforce_budget()
         return distribution

@@ -14,8 +14,9 @@ Evaluation strategy per ranking-function spec (Table 3 of the paper):
 Batches of equal-size relations are stacked and pushed through the
 kernels of :mod:`repro.engine.kernels` in single vectorized passes, and
 large real-alpha PRFe stacks split their rows across cores
-(:mod:`repro.engine.parallel`); all results are bit-identical to
-:func:`repro.algorithms.independent.rank_independent`.
+(:mod:`repro.engine.parallel`); a relation ranked alone or in any batch
+gets the same bits.  This backend is the one evaluator of the model:
+:func:`repro.algorithms.independent.rank_independent` is an engine call.
 
 Both storage forms take one path: the backend reads only the column
 protocol (:class:`~repro.core.columnar.RelationColumns`) and one
@@ -32,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ...algorithms.independent import _resolve_limit, general_weights, uses_log_space
 from ...core.columnar import RelationColumns
 from ...core.prf import LinearCombinationPRFe, PRFe, RankingFunction
 from ...core.result import ColumnarRankingResult, RankingResult
@@ -44,7 +44,10 @@ from ..kernels import (
     batched_prefix_matrices,
     batched_prfe_log_values,
     batched_prfe_values,
+    clamped_limit,
     exp_log_values,
+    general_weights,
+    uses_log_space,
 )
 from ..parallel import row_parts, run_parts
 from ..topk import (
@@ -199,16 +202,14 @@ class IndependentBackend(RankingBackend):
     def rank(
         self, relation: RelationColumns, rf: RankingFunction, name: str = ""
     ) -> RankingResult:
-        """Rank one relation — the drop-in replacement for ``rank_independent``.
+        """Rank one relation.
 
         PRFe and LinearCombinationPRFe specs run their O(n) closed forms
         against the cached entry (so repeated rankings reuse the sorted
         order and probability array); general-weight specs run the stacked
-        kernel as a batch of one, reusing the cached prefix matrix.  Both
-        reproduce the legacy rankings (the real-alpha PRFe and the
-        general-weight paths bit for bit), and a request served alone is
-        bit-identical to one served coalesced (the guarantee the ranking
-        service builds on).
+        kernel as a batch of one, reusing the cached prefix matrix.  A
+        request served alone is bit-identical to one served coalesced (the
+        guarantee the ranking service builds on).
         """
         label = name or relation.name
         if isinstance(rf, (PRFe, LinearCombinationPRFe)):
@@ -318,7 +319,7 @@ class IndependentBackend(RankingBackend):
         elif isinstance(rf, LinearCombinationPRFe):
             per_relation = max(n * len(rf), 1)
         else:
-            per_relation = max(n * self._clamped_limit(n, rf.weight.horizon), 1)
+            per_relation = max(n * clamped_limit(n, rf.weight.horizon), 1)
         rows = max(1, _MATERIALIZE_ELEMENTS // per_relation)
         for start in range(0, len(indices), rows):
             yield indices[start : start + rows], entries[start : start + rows]
@@ -455,7 +456,7 @@ class IndependentBackend(RankingBackend):
         A matrix over the cache's element budget is returned and then shed
         from its entry by the budget enforcement.
         """
-        limit = _resolve_limit(len(relation), max_rank)
+        limit = clamped_limit(len(relation), max_rank)
         matrix = self.entry(relation).positional_matrix(limit)
         self.cache.enforce_budget()
         return relation.sorted_by_score(), matrix

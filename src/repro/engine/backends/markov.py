@@ -21,10 +21,10 @@ entry:
 
 The cache entry refers to no network: content-equal networks share it,
 every evaluator runs on the caller's network, and results carry the
-caller's tuples.  Values are produced by the same
-:mod:`repro.graphical.ranking` evaluators as the legacy
-:func:`~repro.graphical.ranking.rank_markov_network`, so the rankings are
-bit-identical.
+caller's tuples.  Every spec's values are one ``matrix @ weights`` pass
+over the positional matrix
+(:meth:`~repro.core.prf.RankingFunction.evaluate_positional`), and
+:func:`~repro.graphical.ranking.rank_markov_network` is an engine call.
 """
 
 from __future__ import annotations
@@ -37,12 +37,9 @@ import numpy as np
 from ...core.prf import RankingFunction
 from ...core.result import RankingResult
 from ...graphical.model import MarkovNetworkRelation
-from ...graphical.ranking import (
-    prefix_count_distribution,
-    prf_values_markov,
-    rank_distribution_markov,
-)
+from ...graphical.ranking import prefix_count_distribution, rank_distribution_markov
 from ..cache import CachedNetwork
+from ..kernels import clamped_limit
 from ..topk import BOUND_SAFETY, TopKReport, certified, prunable, validated_k
 from .base import CorrelatedBackend, build_result
 
@@ -97,7 +94,7 @@ class MarkovBackend(CorrelatedBackend):
         tuples = model.tuples
         label = name or model.name
         n = entry.n
-        limit = self._clamped_limit(n, rf.weight.horizon)
+        limit = clamped_limit(n, rf.weight.horizon)
         positional = entry.positional
         matrix_cached = positional is not None and positional.shape[1] >= limit
         if not prunable(rf) or k >= n or matrix_cached:
@@ -132,7 +129,7 @@ class MarkovBackend(CorrelatedBackend):
     ) -> tuple[np.ndarray, int, float]:
         """Score-order streamed PRFe values until the decay bound certifies ``k``."""
         n = entry.n
-        limit = self._clamped_limit(n, rf.weight.horizon)
+        limit = clamped_limit(n, rf.weight.horizon)
         alpha = float(rf.alpha)
         tree = entry.junction
         base = entry.calibrated()
@@ -169,11 +166,8 @@ class MarkovBackend(CorrelatedBackend):
     def _values(
         self, model: MarkovNetworkRelation, entry: CachedNetwork, rf: RankingFunction
     ) -> np.ndarray:
-        limit = self._clamped_limit(entry.n, rf.weight.horizon)
-        matrix = entry.positional_matrix(model, limit)
-        ordered = entry.sorted_tuples(model.tuples)
-        _, values = prf_values_markov(model, rf, positional=(ordered, matrix))
-        return values
+        matrix = entry.positional_matrix(model, clamped_limit(entry.n, rf.weight.horizon))
+        return rf.evaluate_positional(entry.sorted_tuples(model.tuples), matrix)
 
     # ------------------------------------------------------------------
     # Derived queries
@@ -189,9 +183,9 @@ class MarkovBackend(CorrelatedBackend):
         return marginals
 
     def _cold_distribution(
-        self, model: MarkovNetworkRelation, entry: CachedNetwork, tid, max_rank
+        self, model: MarkovNetworkRelation, entry: CachedNetwork, tid, limit: int
     ) -> np.ndarray:
         """The one-tuple DP against the cached junction tree and base calibration."""
         return rank_distribution_markov(
-            model, tid, max_rank=max_rank, tree=entry.junction, base=entry.calibrated()
+            model, tid, max_rank=limit, tree=entry.junction, base=entry.calibrated()
         )

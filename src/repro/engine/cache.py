@@ -10,7 +10,7 @@ entry type exists per correlation model:
   content-derived arrays only — the score-descending permutation, the
   sorted score and probability columns, lazily built tid strings, the
   prefix generating-function matrix of
-  :func:`repro.algorithms.independent.prefix_polynomial_matrix` (the
+  :func:`repro.engine.kernels.batched_prefix_matrices` (the
   O(n * max_rank) hot intermediate behind positional probabilities,
   PT(h), U-Rank and every general-weight PRF evaluation) and memoized
   values.
@@ -52,6 +52,7 @@ import numpy as np
 
 from ..core.columnar import RelationColumns
 from ..core.tuples import Tuple
+from .kernels import batched_prefix_matrices
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..andxor.ranking import PRFeLayout
@@ -340,12 +341,10 @@ class CachedRelation:
         ``prefix = None`` wipe can never yield a too-narrow or ``None``
         matrix to a caller.  The cached matrix is read-only.
         """
-        from ..algorithms.independent import prefix_polynomial_matrix
-
         with self.lock:
             prefix = self.prefix
             if prefix is None or prefix.shape[1] < limit:
-                prefix = prefix_polynomial_matrix(self.probabilities, limit)
+                prefix = batched_prefix_matrices(self.probabilities[None, :], limit)[0]
                 prefix.flags.writeable = False
                 self.prefix = prefix
         return prefix[:, :limit]

@@ -7,11 +7,11 @@ Markov network — picks the Table-3-optimal algorithm through the
 matching :class:`~repro.engine.backends.RankingBackend`, and executes
 against one shared fingerprint-keyed LRU cache:
 
-* :meth:`Engine.rank` — one dataset, one ranking function.  Numerically
-  identical to the legacy per-model entry points (``rank_independent``,
-  ``rank_tree``, ``rank_markov_network``); repeated rankings reuse the
-  cached sorted order, prefix/positional matrices, memoized PRFe values
-  and calibrated junction trees.
+* :meth:`Engine.rank` — one dataset, one ranking function.  The per-model
+  entry points (``rank_independent``, ``rank_tree``,
+  ``rank_markov_network``) are ``Engine().rank`` calls; repeated rankings
+  reuse the cached sorted order, prefix/positional matrices, memoized
+  PRFe values and calibrated junction trees.
 * :meth:`Engine.rank_batch` — many datasets, one ranking function.  The
   batch may freely mix correlation models; each model's slice runs
   through its backend (equal-size independent relations are stacked into
@@ -326,7 +326,7 @@ class Engine:
         its backend: equal-cardinality independent relations are stacked
         into single vectorized kernel invocations; trees and networks run
         through their cached evaluators.  Results come back in input
-        order, bit-identical to the legacy per-model entry points.
+        order, bit-identical to ranking each dataset alone.
 
         With ``top_k`` set, each result holds only the best ``top_k``
         items (equal to the head of the dataset's full ranking) and

@@ -2,17 +2,19 @@
 
 Every kernel operates on a stack of ``B`` equal-length relations at once:
 ``P`` is the ``(B, n)`` matrix of existence probabilities in score-
-descending order, one row per relation.  The per-row arithmetic mirrors
-the single-relation implementations in :mod:`repro.algorithms.
-independent` operation for operation — cumulative sums/products run
-sequentially along the last axis exactly as their 1-D counterparts do —
-so a batch of size one reproduces the legacy values bit for bit and
-larger batches only amortize Python and dispatch overhead across rows.
+descending order, one row per relation.  A row's arithmetic does not
+depend on the other rows of its stack — cumulative sums/products run
+sequentially along the last axis — so a batch of size one (the
+single-relation helpers of :mod:`repro.algorithms.independent` are
+exactly that) and any larger batch give every row the same bits, and
+batching only amortizes Python and dispatch overhead across rows.
 
 General weights have one exact kernel, :func:`batched_general_values`,
 costing ``O(B n* limit)`` whether it streams the prefix recurrence or
 reduces a materialized or cached :func:`batched_prefix_matrices` stack;
-all of those calls return the same values bit for bit.
+all of those calls return the same values bit for bit.  The routing
+helpers :func:`uses_log_space`, :func:`clamped_limit` and
+:func:`general_weights` decide which kernel a spec runs and how wide.
 """
 
 from __future__ import annotations
@@ -22,9 +24,13 @@ from functools import partial
 
 import numpy as np
 
+from ..core.prf import PRFe, RankingFunction
 from .parallel import row_parts, run_parts
 
 __all__ = [
+    "uses_log_space",
+    "clamped_limit",
+    "general_weights",
     "batched_prefix_matrices",
     "batched_general_values",
     "first_zero_row",
@@ -52,6 +58,47 @@ _STREAM_ELEMENTS = 1 << 18
 #: a multi-row operand differently from the same row alone, so a wider
 #: call would make a row's sum depend on its block.
 _REDUCE_COLUMNS = 4096
+
+
+def uses_log_space(rf: RankingFunction) -> bool:
+    """Whether ``rf`` is a PRFe spec evaluated by :func:`batched_prfe_log_values`.
+
+    True for a real ``float`` alpha in ``(0, 1]``.  Every engine path
+    routes on this one decision, so a spec gets the same kernel, and the
+    same bits, whichever path ranks it.
+    """
+    if not isinstance(rf, PRFe):
+        return False
+    alpha = rf.alpha
+    return isinstance(alpha, float) and 0.0 < alpha <= 1.0
+
+
+def clamped_limit(n: int, max_rank: int | None) -> int:
+    """Rank columns to materialize: ``min(max_rank, n)``, or ``n`` for ``None``.
+
+    Raises
+    ------
+    ValueError
+        If ``max_rank`` is negative or not integral.
+    """
+    if max_rank is None:
+        return n
+    limit = int(max_rank)
+    if limit != max_rank:
+        raise ValueError(f"max_rank must be an integer, got {max_rank!r}")
+    if limit < 0:
+        raise ValueError(f"max_rank must be non-negative, got {max_rank}")
+    return min(limit, n)
+
+
+def general_weights(rf: RankingFunction, n: int) -> np.ndarray:
+    """The tabulated ``[w(1), ..., w(limit)]`` of a general-weight spec.
+
+    ``limit`` is the weight's horizon clamped to ``n`` (``n`` when the
+    weight has none); the array is complex exactly when the weight is.
+    """
+    dtype = float if rf.is_real() else complex
+    return rf.weight_array(clamped_limit(n, rf.weight.horizon))[1:].astype(dtype)
 
 
 def _prefix_blocks(P: np.ndarray, block: np.ndarray):
@@ -181,7 +228,9 @@ def batched_general_values(
 def batched_prfe_log_values(P: np.ndarray, alpha, out: np.ndarray | None = None) -> np.ndarray:
     """Log-magnitudes of PRFe(alpha) per row for real ``alpha`` in (0, 1].
 
-    Mirrors :func:`repro.algorithms.independent.prfe_log_values` row-wise.
+    Row ``b``'s entry ``i`` is ``sum_{l < i} log(1 - p_l + p_l alpha) +
+    log p_i + log alpha`` (Equation 3 in log space, ``-inf`` where
+    ``p_i = 0``), so huge relations neither under- nor overflow.
     ``alpha`` is either one scalar shared by every row or a length-``B``
     vector giving each row its own alpha (the Figure 7 sweep: one relation
     broadcast across the rows, one alpha per row).  The log-values are
@@ -216,8 +265,8 @@ def batched_prfe_log_values(P: np.ndarray, alpha, out: np.ndarray | None = None)
         log_probabilities = np.where(
             base > 0.0, np.log(np.maximum(base, _LOG_EPS)), -np.inf
         )
-    # math.log per alpha keeps the additive constant bit-identical to the
-    # single-relation implementation; the sum is (prefix + log p) + log alpha.
+    # math.log per alpha, so a scalar and a per-row alpha give the same
+    # constant; the sum is (prefix + log p) + log alpha.
     if scalar:
         log_alpha = math.log(max(float(alphas), _LOG_EPS))
     else:
@@ -250,7 +299,9 @@ def exp_log_values(log_values: np.ndarray, out: np.ndarray | None = None) -> np.
 def batched_prfe_values(P: np.ndarray, alpha: complex) -> np.ndarray:
     """PRFe(alpha) values ``F^i(alpha)`` per row (complex ``alpha`` allowed).
 
-    Mirrors :func:`repro.algorithms.independent.prfe_values` row-wise.
+    ``F^i(alpha) = prod_{l < i}(1 - p_l + p_l alpha) * p_i * alpha``, the
+    O(n) evaluation of Section 4.3 after sorting.  A complex alpha with a
+    nonzero imaginary part runs in complex arithmetic, any other in float.
     """
     P = np.asarray(P, dtype=float)
     is_complex = isinstance(alpha, complex) and alpha.imag != 0.0
@@ -345,11 +396,10 @@ def batched_lincomb_values(
 ) -> np.ndarray:
     """``sum_l u_l PRFe(alpha_l)`` values per row, shape ``(B, n)``.
 
-    Mirrors the LinearCombinationPRFe fast path of
-    :func:`repro.algorithms.independent.prf_values`, evaluated one
-    contiguous ``(B, n)`` pass per term instead of a single strided
-    ``(B, n, L)`` pass: the cumulative products run along the innermost
-    axis and peak memory stays ``O(B n)``, which at n = 10^6 and L = 16
+    The terms are evaluated one contiguous ``(B, n)`` pass per term
+    instead of a single strided ``(B, n, L)`` pass: the cumulative
+    products run along the innermost axis and peak memory stays
+    ``O(B n)``, which at n = 10^6 and L = 16
     (the planner's DFT approximations) is the difference between a
     sub-second kernel and a gigabyte of axis-1 cumprod.
 

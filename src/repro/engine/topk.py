@@ -51,10 +51,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..algorithms.independent import uses_log_space
 from ..core.prf import RankingFunction
 from ..core.result import RankedItem, RankingResult
 from ..core.tuples import Tuple
+from .kernels import batched_prfe_log_values, uses_log_space
 
 __all__ = [
     "BOUND_SAFETY",
@@ -67,8 +67,6 @@ __all__ = [
     "independent_topk_log_values",
     "certified",
 ]
-
-_LOG_EPS = 1e-300
 
 #: Relative inflation applied to the and/xor and Markov pruning bounds
 #: before the strict stop comparison.  Their bound arithmetic (guarded
@@ -296,27 +294,16 @@ def independent_topk_log_values(
     """
     probabilities = np.asarray(probabilities, dtype=float)
     n = int(probabilities.size)
-    alpha = float(alpha)
-    log_alpha = math.log(max(alpha, _LOG_EPS))
     if n == 0:
         return np.zeros(0, dtype=float), 0, -math.inf
     m = n if k >= n else min(n, max(_GROWTH * k, _MIN_PREFIX))
     while True:
-        p = probabilities[:m]
-        # Operation-for-operation the scalar-alpha row of
-        # batched_prfe_log_values, so every examined log-value is
-        # bit-identical to the full kernel's.
-        factors = 1.0 - p + p * alpha
-        log_factors = np.log(np.maximum(factors, _LOG_EPS))
-        cumulative = np.cumsum(log_factors)
-        prefix_log = np.zeros(m, dtype=float)
-        prefix_log[1:] = cumulative[:-1]
-        with np.errstate(divide="ignore"):
-            log_probabilities = np.where(
-                p > 0.0, np.log(np.maximum(p, _LOG_EPS)), -np.inf
-            )
-        log_values = prefix_log + log_probabilities + log_alpha
-        bound = cumulative[-1] + log_alpha
+        # One appended p = 1 row: its log-value is the prefix sum of all m
+        # log-factors, plus log 1 = 0, plus log alpha, which is the bound.
+        # The other rows are the full kernel's, bit for bit.
+        row = np.append(probabilities[:m], 1.0)
+        log_values = batched_prfe_log_values(row[None, :], float(alpha))[0]
+        log_values, bound = log_values[:m], log_values[m]
         if m == n or certified(log_values, k, bound):
             return log_values, m, bound
         m = min(n, _GROWTH * m)

@@ -7,7 +7,6 @@ from .model import MarkovNetworkRelation
 from .ranking import (
     junction_tree_for,
     positional_probabilities_markov,
-    prf_values_markov,
     rank_distribution_markov,
     rank_markov_network,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "MarkovNetworkRelation",
     "junction_tree_for",
     "positional_probabilities_markov",
-    "prf_values_markov",
     "rank_distribution_markov",
     "rank_markov_network",
 ]

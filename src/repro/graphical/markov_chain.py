@@ -192,13 +192,8 @@ class MarkovChainRelation:
 
     def prf_values(self, rf: RankingFunction) -> tuple[list[Tuple], np.ndarray]:
         """PRF values of every tuple under ``rf``."""
-        horizon = rf.weight.horizon
-        ordered, matrix = self.positional_probabilities(max_rank=horizon)
-        weights = rf.weight.as_array(matrix.shape[1])[1:]
-        dtype = float if rf.is_real() else complex
-        values = matrix.astype(dtype) @ weights.astype(dtype)
-        factors = np.array([rf.factor(t) for t in ordered], dtype=float)
-        return ordered, values * factors
+        ordered, matrix = self.positional_probabilities(max_rank=rf.weight.horizon)
+        return ordered, rf.evaluate_positional(ordered, matrix)
 
     def rank(self, rf: RankingFunction, name: str = "") -> RankingResult:
         """Rank the chain's tuples by a PRF-family ranking function."""

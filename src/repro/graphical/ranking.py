@@ -47,7 +47,6 @@ __all__ = [
     "rank_distribution_markov",
     "prefix_count_distribution",
     "positional_probabilities_markov",
-    "prf_values_markov",
     "rank_markov_network",
 ]
 
@@ -337,33 +336,16 @@ def positional_probabilities_markov(
     return ordered, matrix
 
 
-def prf_values_markov(
-    model: MarkovNetworkRelation,
-    rf: RankingFunction,
-    positional: tuple[list[Tuple], np.ndarray] | None = None,
-) -> tuple[list[Tuple], np.ndarray]:
-    """PRF values of every tuple of a Markov-network relation.
-
-    ``positional`` optionally supplies a precomputed ``(ordered, matrix)``
-    pair (the engine's cached matrix) equal to what
-    :func:`positional_probabilities_markov` would return for the ranking
-    function's horizon.
-    """
-    if positional is None:
-        horizon = rf.weight.horizon
-        ordered, matrix = positional_probabilities_markov(model, max_rank=horizon)
-    else:
-        ordered, matrix = positional
-    weights = rf.weight.as_array(matrix.shape[1])[1:]
-    dtype = float if rf.is_real() else complex
-    values = matrix.astype(dtype) @ weights.astype(dtype)
-    factors = np.array([rf.factor(t) for t in ordered], dtype=float)
-    return ordered, values * factors
-
-
 def rank_markov_network(
     model: MarkovNetworkRelation, rf: RankingFunction, name: str = ""
 ) -> RankingResult:
-    """Rank a Markov-network relation by any PRF-family ranking function."""
-    ordered, values = prf_values_markov(model, rf)
-    return RankingResult.from_values(ordered, values.tolist(), name=name or model.name)
+    """Rank a Markov-network relation by any PRF-family ranking function.
+
+    ``Engine().rank(model, rf, name=name)``: the positional matrix of
+    :func:`positional_probabilities_markov`, combined with the weights by
+    :meth:`~repro.core.prf.RankingFunction.evaluate_positional`.
+    """
+    # Imported here: the engine's Markov backend imports this module.
+    from ..engine import Engine
+
+    return Engine().rank(model, rf, name=name)

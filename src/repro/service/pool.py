@@ -48,7 +48,7 @@ import random
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from ..core.prf import RankingFunction
@@ -546,7 +546,9 @@ class ProcessWorker:
                 return
             try:
                 self._conn.send(message)
-            except (OSError, ValueError, BrokenPipeError) as exc:
+            # TypeError too: a kill that closes the pipe mid-send leaves
+            # Connection._send writing to a handle of None.
+            except (OSError, ValueError, TypeError) as exc:
                 self._on_death(WorkerDiedError(f"worker {self.shard} pipe broke: {exc}"))
                 return
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro import AndNode, AndXorTree, LeafNode, ProbabilisticRelation, Tuple, XorNode
-from repro.core.result import ColumnarRankingResult
+from repro.core.possible_worlds import enumerate_worlds, prf_by_enumeration
+from repro.core.result import ColumnarRankingResult, RankingResult
 
 
 @pytest.fixture
@@ -116,6 +117,33 @@ def random_small_tree(rng: np.random.Generator, num_leaves: int = 6) -> AndXorTr
         nodes.append(node)
         counter += 1
     return AndXorTree(nodes[0], name=f"random-tree-{counter}")
+
+
+def assert_matches_oracle(result, data, rf, context=""):
+    """Every value of ``result`` is within 1e-12 of its possible-worlds PRF value."""
+    if isinstance(data, ProbabilisticRelation):
+        worlds, tuples = enumerate_worlds(data), list(data)
+    elif isinstance(data, AndXorTree):
+        worlds, tuples = data.enumerate_worlds(), data.tuples()
+    else:
+        worlds, tuples = data.enumerate_worlds(), data.tuples
+    assert len(result) == len(tuples) <= 10, context
+    values = result.values()
+    for t in tuples:
+        exact = rf.factor(t) * prf_by_enumeration(worlds, t.tid, rf.weight)
+        assert abs(values[t.tid] - exact) <= 1e-12, (context, t.tid)
+
+
+def eager_ranking(result, ordered):
+    """The eager ``RankingResult.from_values`` of ``result``'s values over ``ordered``.
+
+    ``ordered`` are the dataset's tuples in score order; ``from_values``
+    sorts them by its own ``(-|value|, -score, str(tid))`` key.
+    """
+    values = result.values()
+    return RankingResult.from_values(
+        ordered, [values[t.tid] for t in ordered], name=result.name
+    )
 
 
 def assert_lazy_equals_eager(result, reference, tuples):

@@ -5,7 +5,6 @@ import pytest
 
 from repro import PRF, PRFOmega, PRFe, rank
 from repro.andxor.ranking import (
-    prf_values_tree,
     prfe_values_tree,
     prfe_values_tree_recompute,
     rank_tree,
@@ -14,6 +13,13 @@ from repro.andxor.tree import AndXorTree
 from repro.core.possible_worlds import prf_by_enumeration
 from repro.core.weights import NDCGDiscountWeight, StepWeight
 from tests.conftest import random_relation, random_small_tree
+
+
+def ranked_values(tree, rf):
+    """``(sorted_tuples, values)`` of ``rank_tree``, values in score order."""
+    result = rank_tree(tree, rf)
+    ordered = tree.sorted_tuples()
+    return ordered, [result.value_of(t.tid) for t in ordered]
 
 
 class TestPRFeOnTrees:
@@ -125,7 +131,7 @@ class TestGeneralPRFOnTrees:
     def test_general_weight_matches_bruteforce(self, figure1_tree):
         worlds = figure1_tree.enumerate_worlds()
         rf = PRF(NDCGDiscountWeight())
-        ordered, values = prf_values_tree(figure1_tree, rf)
+        ordered, values = ranked_values(figure1_tree, rf)
         for t, value in zip(ordered, values):
             exact = prf_by_enumeration(worlds, t.tid, NDCGDiscountWeight())
             assert value == pytest.approx(exact, abs=1e-10)
@@ -134,7 +140,7 @@ class TestGeneralPRFOnTrees:
         tree = random_small_tree(rng, num_leaves=8)
         worlds = tree.enumerate_worlds()
         rf = PRFOmega(StepWeight(3))
-        ordered, values = prf_values_tree(tree, rf)
+        ordered, values = ranked_values(tree, rf)
         for t, value in zip(ordered, values):
             exact = prf_by_enumeration(worlds, t.tid, StepWeight(3))
             assert value == pytest.approx(exact, abs=1e-10)
@@ -143,7 +149,7 @@ class TestGeneralPRFOnTrees:
         from repro.core.weights import PositionWeight
 
         rf = PRF(PositionWeight(1), tuple_factor=lambda t: t.score)
-        ordered, values = prf_values_tree(figure1_tree, rf)
+        ordered, values = ranked_values(figure1_tree, rf)
         worlds = figure1_tree.enumerate_worlds()
         for t, value in zip(ordered, values):
             exact = t.score * prf_by_enumeration(worlds, t.tid, PositionWeight(1))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import PRFe, PRFOmega
+from repro import LinearCombinationPRFe, PRFe, PRFOmega
 from repro.algorithms.attribute_uncertainty import (
     ScoreDistributionTuple,
     expand_to_tree,
@@ -71,6 +71,18 @@ class TestRanking:
                 for j in range(len(item.outcomes))
             )
             assert result.value_of(item.tid) == pytest.approx(expected, abs=1e-10)
+
+    def test_linear_combination_matches_enumeration(self, items):
+        # The combination's own closed form, not an O(n^2) positional matrix.
+        rf = LinearCombinationPRFe([0.5 + 0.1j, 0.5 - 0.1j, 0.3], [0.9 + 0.05j, 0.9 - 0.05j, 0.7])
+        result = rank_uncertain_scores(items, rf)
+        worlds = expand_to_tree(items).enumerate_worlds()
+        for item in items:
+            expected = sum(
+                prf_by_enumeration(worlds, (item.tid, j), rf.weight)
+                for j in range(len(item.outcomes))
+            )
+            assert abs(result.value_of(item.tid) - expected) <= 1e-12
 
     def test_representative_tuples_carry_expectations(self, items):
         result = rank_uncertain_scores(items, PRFe(0.9))

@@ -1,10 +1,11 @@
 """Tests for the correlation-aware backend layer of the engine.
 
-The core contract: the planner must route every correlation model
-through its backend and produce rankings *bitwise identical* to the
-legacy per-model entry points (``rank_independent``, ``rank_tree``,
-``rank_markov_network``) — cold cache, warm cache, mixed batches and
-sweeps alike.
+The core contract: the planner routes every correlation model through
+its backend, and every execution shape — cold cache, warm cache, mixed
+batches and sweeps — returns bitwise identical rankings, which agree
+with the possible-worlds oracle.  The legacy per-model entry points
+(``rank_independent``, ``rank_tree``, ``rank_markov_network``) are
+``Engine().rank`` calls and return the same bits.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.datasets.synthetic import TreeShape, generate_random_tree, syn_high, 
 from repro.engine import dataset_fingerprint, network_fingerprint, tree_fingerprint
 from repro.graphical import Factor, MarkovChainRelation, MarkovNetworkRelation
 from repro.graphical.ranking import rank_distribution_markov, rank_markov_network
+from tests.conftest import assert_matches_oracle
 
 FAMILY = [
     pytest.param(PRFe(0.95), id="PRFe-real"),
@@ -41,6 +43,12 @@ FAMILY = [
     pytest.param(PRF(NDCGDiscountWeight()), id="PRF-general"),
     pytest.param(
         LinearCombinationPRFe([0.6, 0.4j], [0.9, 0.4 + 0.1j]), id="LinearCombinationPRFe"
+    ),
+    pytest.param(
+        LinearCombinationPRFe(
+            [0.5 + 0.1j, 0.5 - 0.1j, 0.3], [0.9 + 0.05j, 0.9 - 0.05j, 0.7]
+        ),
+        id="LinearCombinationPRFe-conjugate-closed",
     ),
 ]
 
@@ -70,21 +78,67 @@ def random_network(rng: np.random.Generator, n: int | None = None) -> MarkovNetw
     return chain.to_markov_network()
 
 
+def random_relation(rng: np.random.Generator, n: int | None = None) -> ProbabilisticRelation:
+    n = int(rng.integers(2, 11)) if n is None else n
+    return ProbabilisticRelation.from_arrays(
+        rng.uniform(0.0, 100.0, size=n), rng.uniform(0.0, 1.0, size=n)
+    )
+
+
 def assert_bitwise_equal(result, reference, context=""):
     assert result.tids() == reference.tids(), context
     assert [item.value for item in result] == [item.value for item in reference], context
 
 
+MODELS = {
+    "independent": (random_relation, rank_independent),
+    "andxor": (lambda rng: random_tree(rng, n=int(rng.integers(2, 11))), rank_tree),
+    "markov": (random_network, rank_markov_network),
+}
+
+
+class TestLegacyEntryPoints:
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("rf", FAMILY)
+    def test_legacy_entry_points_are_engine_calls(self, model, rf):
+        make, legacy = MODELS[model]
+        rng = np.random.default_rng(401)
+        engine = Engine()
+        for _ in range(4):
+            data = make(rng)
+            assert_bitwise_equal(legacy(data, rf), engine.rank(data, rf), context=data.name)
+            assert_matches_oracle(engine.rank(data, rf), data, rf, context=data.name)
+
+
+class TestMaxRankValidation:
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("query", ["positional_matrix", "rank_distribution"])
+    @pytest.mark.parametrize("max_rank", [-1, 2.5])
+    def test_every_model_validates_max_rank(self, model, query, max_rank):
+        data = MODELS[model][0](np.random.default_rng(409))
+        engine = Engine()
+        if query == "positional_matrix":
+            call = lambda: engine.positional_matrix(data, max_rank=max_rank)  # noqa: E731
+        else:
+            tid = engine.sorted_tuples(data)[0].tid
+            call = lambda: engine.rank_distribution(data, tid, max_rank=max_rank)  # noqa: E731
+        message = "non-negative" if max_rank == -1 else "an integer"
+        with pytest.raises(ValueError, match=f"max_rank must be {message}"):
+            call()
+
+
 class TestAndXorBackendEquivalence:
     @pytest.mark.parametrize("rf", FAMILY)
     def test_engine_matches_rank_tree_bitwise(self, rf):
+        # rank_tree is a fresh engine's rank, so both sides are one path;
+        # the possible-worlds oracle is what holds them to the paper.
         rng = np.random.default_rng(101)
         engine = Engine()
         for _ in range(12):
-            tree = random_tree(rng)
-            assert_bitwise_equal(
-                engine.rank(tree, rf), rank_tree(tree, rf), context=tree.name
-            )
+            tree = random_tree(rng, n=int(rng.integers(2, 11)))
+            result = engine.rank(tree, rf)
+            assert_bitwise_equal(result, rank_tree(tree, rf), context=tree.name)
+            assert_matches_oracle(result, tree, rf, context=tree.name)
 
     @pytest.mark.parametrize("rf", FAMILY)
     def test_warm_cache_stays_bitwise_identical(self, rf):
@@ -176,11 +230,14 @@ class TestAndXorBackendEquivalence:
 class TestMarkovBackendEquivalence:
     @pytest.mark.parametrize("rf", FAMILY)
     def test_engine_matches_rank_markov_network_bitwise(self, rf):
+        # As for trees: one path on both sides, held to the oracle.
         rng = np.random.default_rng(211)
         engine = Engine()
         for _ in range(4):
             network = random_network(rng)
-            assert_bitwise_equal(engine.rank(network, rf), rank_markov_network(network, rf))
+            result = engine.rank(network, rf)
+            assert_bitwise_equal(result, rank_markov_network(network, rf))
+            assert_matches_oracle(result, network, rf, context=network.name)
 
     def test_warm_cache_stays_bitwise_identical(self):
         rng = np.random.default_rng(223)
@@ -290,18 +347,7 @@ class TestMixedModelBatches:
         results = Engine().rank_batch(mixed, rf)
         assert len(results) == len(mixed)
         for data, result in zip(mixed, results):
-            reference = self.reference(data, rf)
-            context = type(data).__name__
-            if isinstance(data, ProbabilisticRelation) and not isinstance(rf, PRFe):
-                # The stacked general-weight kernel truncates per-row dot
-                # products differently from the streaming legacy loop (PR 1's
-                # documented contract): identical rankings, values to 1e-9.
-                assert result.tids() == reference.tids(), context
-                values = np.asarray([item.value for item in result], dtype=complex)
-                expected = np.asarray([item.value for item in reference], dtype=complex)
-                assert np.allclose(values, expected, rtol=1e-9, atol=1e-12), context
-            else:
-                assert_bitwise_equal(result, reference, context=context)
+            assert_bitwise_equal(result, self.reference(data, rf), context=type(data).__name__)
 
     def test_mixed_batch_preserves_input_order(self):
         rng = np.random.default_rng(311)

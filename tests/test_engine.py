@@ -1,9 +1,10 @@
 """Tests for the batched vectorized ranking engine.
 
 The core contract: every engine entry point (``rank``, ``rank_batch``,
-``rank_many``) must produce rankings identical to the per-relation
-:func:`repro.algorithms.independent.rank_independent` path for every
-member of the PRF family.
+``rank_many``) must produce the same ranking as a relation ranked alone
+(:func:`repro.algorithms.independent.rank_independent`, a fresh engine's
+``rank``) for every member of the PRF family, and that ranking agrees
+with the possible-worlds oracle.
 """
 
 from __future__ import annotations
@@ -30,13 +31,16 @@ from repro.core.weights import NDCGDiscountWeight, StepWeight
 from repro.datasets import syn_xor
 from repro.engine import RelationCache, relation_fingerprint
 from repro.graphical import MarkovChainRelation
+from tests.conftest import assert_matches_oracle
 
 
-def make_relations(count: int, rng: np.random.Generator) -> list[ProbabilisticRelation]:
-    """Synthetic relations of mixed sizes, with degenerate cases sprinkled in."""
+def make_relations(
+    count: int, rng: np.random.Generator, largest: int = 40
+) -> list[ProbabilisticRelation]:
+    """Synthetic relations of mixed sizes below ``largest``, with degenerate cases."""
     relations = []
     for index in range(count):
-        n = int(rng.integers(2, 40))
+        n = int(rng.integers(2, largest))
         relations.append(
             ProbabilisticRelation.from_arrays(
                 rng.uniform(0.0, 1000.0, size=n),
@@ -90,10 +94,13 @@ class TestBatchVersusSingle:
 
     @pytest.mark.parametrize("rf", FAMILY)
     def test_engine_rank_matches_rank_independent(self, rf):
+        # rank_independent is a fresh engine's rank, so both sides are one
+        # path; the possible-worlds oracle is what holds them to the paper.
         rng = np.random.default_rng(11)
-        for relation in make_relations(10, rng):
+        for relation in make_relations(10, rng, largest=11):
             result = Engine().rank(relation, rf)
             assert_same_ranking(result, rank_independent(relation, rf), relation.name)
+            assert_matches_oracle(result, relation, rf, context=relation.name)
 
     def test_prfe_real_path_is_bitwise_identical(self):
         rng = np.random.default_rng(3)

@@ -7,7 +7,6 @@ from repro import PRF, PRFOmega, PRFe, ProbabilisticRelation, Tuple
 from repro.algorithms.independent import (
     expected_world_size_excluding,
     positional_probabilities,
-    prf_values,
     prfe_log_values,
     prfe_values,
     rank_distributions,
@@ -20,6 +19,13 @@ from repro.core.possible_worlds import (
 )
 from repro.core.weights import ConstantWeight, NDCGDiscountWeight, StepWeight
 from tests.conftest import random_relation
+
+
+def prf_values(relation, rf):
+    """``(sorted_tuples, values)`` of ``rank_independent``, values in score order."""
+    result = rank_independent(relation, rf)
+    ordered = relation.sorted_by_score()
+    return ordered, np.array([result.value_of(t.tid) for t in ordered])
 
 
 class TestPositionalProbabilities:
@@ -122,7 +128,7 @@ class TestGeneralPRF:
         relation = random_relation(7, rng)
         worlds = enumerate_worlds(relation)
         rf = PRF(NDCGDiscountWeight())
-        ordered, values, _ = prf_values(relation, rf)
+        ordered, values = prf_values(relation, rf)
         for t, value in zip(ordered, values):
             exact = prf_by_enumeration(worlds, t.tid, NDCGDiscountWeight())
             assert value == pytest.approx(exact, abs=1e-12)
@@ -131,14 +137,14 @@ class TestGeneralPRF:
         relation = random_relation(10, rng)
         step = PRFOmega(StepWeight(4))
         unbounded_equivalent = PRF(lambda i: 1.0 if i <= 4 else 0.0)
-        _, horizon_values, _ = prf_values(relation, step)
-        _, general_values, _ = prf_values(relation, unbounded_equivalent)
+        _, horizon_values = prf_values(relation, step)
+        _, general_values = prf_values(relation, unbounded_equivalent)
         assert np.allclose(horizon_values, general_values)
 
     def test_tuple_factor_expected_score(self, rng):
         relation = random_relation(9, rng)
         rf = PRF(ConstantWeight(), tuple_factor=lambda t: t.score)
-        ordered, values, _ = prf_values(relation, rf)
+        ordered, values = prf_values(relation, rf)
         for t, value in zip(ordered, values):
             assert value == pytest.approx(t.score * t.probability)
 
@@ -147,7 +153,7 @@ class TestGeneralPRF:
 
         relation = random_relation(8, rng)
         rf = LinearCombinationPRFe([0.5, 0.25], [0.9, 0.3])
-        _, combined, _ = prf_values(relation, rf)
+        _, combined = prf_values(relation, rf)
         _, a = prfe_values(relation, 0.9)
         _, b = prfe_values(relation, 0.3)
         assert np.allclose(combined, 0.5 * a + 0.25 * b)

@@ -25,6 +25,9 @@ process churn — deterministic and fast); a small set exercises real
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import itertools
+import queue
 import threading
 import time
 
@@ -210,6 +213,39 @@ class TestProcessWorker:
                     assert_bitwise_equal(results[0], expected)
         finally:
             worker.stop()
+
+    def test_send_type_error_fails_pending_jobs(self, monkeypatch):
+        """A kill closing the pipe mid-send raises TypeError in ``Connection._send``.
+
+        The writer thread must turn it into a worker death that fails the
+        pending job with :class:`WorkerDiedError`, not die unhandled.
+        """
+
+        class ClosedMidSend:
+            def send(self, message):
+                raise TypeError("'NoneType' object cannot be interpreted as an integer")
+
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        worker = ProcessWorker.__new__(ProcessWorker)
+        worker.shard = 0
+        worker._conn = ClosedMidSend()
+        worker._ids = itertools.count(1)
+        worker._pending = {}
+        worker._state_lock = threading.Lock()
+        worker._dead = False
+        worker._send_queue = queue.SimpleQueue()
+        future = concurrent.futures.Future()
+        job_id = worker._register(future, None)
+        worker._send(("job", job_id))
+        writer = threading.Thread(target=worker._write_loop)
+        writer.start()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert escaped == []
+        with pytest.raises(WorkerDiedError, match="pipe broke"):
+            future.result(timeout=0)
+        assert worker._dead
 
     def test_kill_fails_outstanding_futures(self):
         rel = make_relation(20, 7)

@@ -19,7 +19,7 @@ from repro.core.possible_worlds import prf_by_enumeration, rank_distribution_by_
 from repro.core.result import ColumnarRankingResult
 from repro.core.weights import NDCGDiscountWeight, StepWeight
 from repro.datasets import syn_high, syn_low, syn_med, syn_xor
-from tests.conftest import assert_lazy_equals_eager, ranked_item
+from tests.conftest import assert_lazy_equals_eager, eager_ranking, ranked_item
 
 
 @st.composite
@@ -296,13 +296,14 @@ def test_every_path_returns_the_same_bits(tree, alpha, other, k):
 def test_topk_prefix_chunks_change_no_bit(tree, alpha, k):
     _, full = prfe_values_tree(tree, alpha)
     reference = rank_tree(tree, PRFe(alpha))
-    _, _, first_certifying, _ = ranking.prfe_topk_values_tree(tree, alpha, k)
+    _, first_certifying, _ = ranking.prfe_topk_values_stacked(ranking.PRFeLayout(tree), alpha, k)
     for rows in (1, 2):
         with mock.patch.object(ranking, "_TOPK_MIN_ROWS", rows):
-            ordered, values, examined, bound = ranking.prfe_topk_values_tree(tree, alpha, k)
+            layout = ranking.PRFeLayout(tree)
+            values, examined, bound = ranking.prfe_topk_values_stacked(layout, alpha, k)
             assert examined == first_certifying
             assert np.array_equal(values, full[:examined])
-            if examined < len(ordered):
+            if examined < len(tree):
                 # Every unexamined leaf is below the certified bound.
                 assert np.all(np.abs(full[examined:]) <= bound)
             top, report = Engine().rank_top_k(tree, PRFe(alpha), k)
@@ -325,7 +326,7 @@ def test_full_rankings_are_lazy_and_equal_the_eager_result(tree, alpha, other, h
     ]
     engine = Engine()
     for rf in specs:
-        reference = rank_tree(tree, rf)
+        reference = eager_ranking(rank_tree(tree, rf), tree.sorted_tuples())
         for _ in range(2):  # cold, then warm
             assert_lazy_equals_eager(engine.rank(tree, rf), reference, tree.tuples())
         for data, result in zip((tree, twin), Engine().rank_batch([tree, twin], rf)):
@@ -335,4 +336,5 @@ def test_full_rankings_are_lazy_and_equal_the_eager_result(tree, alpha, other, h
         assert [ranked_item(item) for item in top] == [ranked_item(item) for item in reference[:2]]
     for fresh in (Engine(), engine):
         for rf, result in zip(specs, fresh.rank_many(twin, specs)):
-            assert_lazy_equals_eager(result, rank_tree(tree, rf), twin.tuples())
+            reference = eager_ranking(rank_tree(tree, rf), tree.sorted_tuples())
+            assert_lazy_equals_eager(result, reference, twin.tuples())

@@ -28,7 +28,7 @@ from repro.graphical import (
     rank_distribution_markov,
     rank_markov_network,
 )
-from tests.conftest import assert_lazy_equals_eager
+from tests.conftest import assert_lazy_equals_eager, eager_ranking
 
 POSITIVE = st.floats(min_value=0.05, max_value=1.0)
 
@@ -141,7 +141,7 @@ def test_full_rankings_are_lazy_and_equal_the_eager_result(network, alpha, horiz
     specs = [PRFe(alpha), PRFOmega(StepWeight(horizon)), PRFe(0.5)]
     engine = Engine()
     for rf in specs:
-        reference = rank_markov_network(network, rf)
+        reference = eager_ranking(rank_markov_network(network, rf), network.sorted_tuples())
         for _ in range(2):  # cold, then warm
             assert_lazy_equals_eager(engine.rank(network, rf), reference, network.tuples)
         for data, result in zip((network, twin), Engine().rank_batch([network, twin], rf)):
@@ -150,4 +150,5 @@ def test_full_rankings_are_lazy_and_equal_the_eager_result(network, alpha, horiz
         assert not isinstance(top, ColumnarRankingResult)
     for fresh in (Engine(), engine):
         for rf, result in zip(specs, fresh.rank_many(twin, specs)):
-            assert_lazy_equals_eager(result, rank_markov_network(network, rf), twin.tuples)
+            reference = eager_ranking(rank_markov_network(network, rf), network.sorted_tuples())
+            assert_lazy_equals_eager(result, reference, twin.tuples)

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import PRF, Engine, PRFOmega, ProbabilisticRelation
 from repro.algorithms.independent import (
-    general_weights,
     positional_probabilities,
     prefix_polynomial_matrix,
     rank_independent,
@@ -32,6 +31,7 @@ from repro.engine.kernels import (
     _REDUCE_COLUMNS,
     _ZERO_CHECK_ROWS,
     batched_prefix_matrices,
+    general_weights,
     row_sums,
 )
 

@@ -32,7 +32,7 @@ from repro import (
     Tuple,
 )
 from repro.algorithms.independent import rank_independent
-from repro.andxor.ranking import prfe_topk_values_tree, prfe_values_tree
+from repro.andxor.ranking import PRFeLayout, prfe_topk_values_stacked, prfe_values_tree
 from repro.andxor.tree import AndXorTree
 from repro.core.weights import NDCGDiscountWeight, StepWeight
 from repro.engine import TopKReport, prunable
@@ -459,11 +459,10 @@ class TestKernels:
     def test_tree_topk_kernel_matches_full_algorithm3_prefix(self):
         tree = make_tree(seed=59)
         alpha = 0.9
-        ordered_full, full_values = prfe_values_tree(tree, alpha)
-        ordered, values, examined, bound = prfe_topk_values_tree(tree, alpha, 5)
-        assert [t.tid for t in ordered] == [t.tid for t in ordered_full]
+        _, full_values = prfe_values_tree(tree, alpha)
+        values, examined, bound = prfe_topk_values_stacked(PRFeLayout(tree), alpha, 5)
         np.testing.assert_array_equal(values, full_values[:examined])
-        assert examined <= len(ordered)
+        assert examined <= len(tree)
 
     def test_prefix_count_distribution_matches_independent_convolution(self):
         # On a from_independent network the prefix count is a sum of
