@@ -15,3 +15,26 @@ def run_once(benchmark, function):
     """
     gc.collect()
     return benchmark.pedantic(function, rounds=1, iterations=1)
+
+
+def assert_matches_oracle(result, data, rf, tolerance: float = 1e-12) -> None:
+    """Every value of ``result`` is within ``tolerance`` of its possible-worlds value.
+
+    ``data`` is a small (n <= 10) independent relation, and/xor tree or
+    Markov network; the oracle enumerates its worlds.
+    """
+    from repro.andxor.tree import AndXorTree
+    from repro.core.possible_worlds import enumerate_worlds, prf_by_enumeration
+    from repro.graphical import MarkovNetworkRelation
+
+    if isinstance(data, AndXorTree):
+        worlds, tuples = data.enumerate_worlds(), data.tuples()
+    elif isinstance(data, MarkovNetworkRelation):
+        worlds, tuples = data.enumerate_worlds(), data.tuples
+    else:
+        worlds, tuples = enumerate_worlds(data), list(data)
+    assert len(result) == len(tuples) <= 10
+    values = result.values()
+    for t in tuples:
+        exact = rf.factor(t) * prf_by_enumeration(worlds, t.tid, rf.weight)
+        assert abs(values[t.tid] - exact) <= tolerance, t.tid

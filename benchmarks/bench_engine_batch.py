@@ -33,7 +33,7 @@ from repro.engine.kernels import first_zero_row
 from repro.graphical import MarkovChainRelation
 from repro.graphical.ranking import rank_markov_network
 
-from _bench_utils import run_once
+from _bench_utils import assert_matches_oracle, run_once
 
 SMOKE = os.environ.get("BENCH_SMOKE") == "1"
 
@@ -59,6 +59,8 @@ SMALL_N = 200
 #: Sweeps in the timed region: enough to keep it above ~20 ms, well over
 #: the regression gate's 5 ms floor, on a 2-core x86 box.
 SMALL_ROUNDS = 32
+#: Size of the instances the possible-worlds oracle checks each spec on.
+ORACLE_N = 8
 #: Warm batches per timed call of the cached tree and network benchmarks:
 #: enough to keep each timed region above ~20 ms in smoke runs on a
 #: 2-core x86 box.
@@ -464,10 +466,10 @@ def test_exact_prfomega_exhausted_support(benchmark, save_result):
 
     On Syn-IND the truncated prefix distribution underflows to exactly
     zero after ~1.2k of the 10^5 score-sorted tuples, and the recurrence
-    stops there instead of writing rows of zeros.  The engine's ranking
-    must equal the legacy ``rank_independent`` one bit for bit (both run
-    the same kernel).  The last non-zero row of the positional matrix is
-    recorded.
+    stops there instead of writing rows of zeros.  The same spec on an
+    n = 8 relation of the same generator must agree with the
+    possible-worlds oracle.  The last non-zero row of the positional
+    matrix is recorded.
     """
     relation = generate_independent(EXHAUSTED_N, rng=103, columnar=True)
     rf = PRFOmega(StepWeight(EXHAUSTED_HORIZON))
@@ -477,7 +479,8 @@ def test_exact_prfomega_exhausted_support(benchmark, save_result):
     result, engine_time = _best_of(lambda: Engine().rank(relation, rf), repeats=5)
     run_once(benchmark, lambda: Engine().rank(relation, rf))
 
-    assert _same_ranking(result, rank_independent(relation, rf))
+    small = generate_independent(ORACLE_N, rng=103, columnar=True)
+    assert_matches_oracle(Engine().rank(small, rf), small, rf)
 
     _, matrix = Engine().positional_matrix(relation, max_rank=EXHAUSTED_HORIZON)
     last_row = int(np.flatnonzero(matrix.any(axis=1))[-1])
@@ -502,8 +505,9 @@ def test_exact_gaussian_prfomega(benchmark, save_result):
     A cold ``Engine.rank`` of Syn-IND with ``n * h = 2 * 10^8`` prefix
     elements, too many to materialize: the kernel streams the recurrence
     in row blocks and stops at the first all-zero row ``n*``, which is
-    recorded.  The columnar input gets a columnar result, and its ranking
-    equals the legacy ``rank_independent`` one bit for bit.
+    recorded.  The columnar input gets a columnar result, and the same
+    spec on an n = 8 relation of the same generator must agree with the
+    possible-worlds oracle.
     """
     relation = generate_independent(GAUSSIAN_N, rng=101, columnar=True)
     # The approx benchmark's weight: a Gaussian with std support / 5.
@@ -514,7 +518,8 @@ def test_exact_gaussian_prfomega(benchmark, save_result):
     run_once(benchmark, lambda: Engine().rank(relation, rf))
 
     assert isinstance(result, ColumnarRankingResult)
-    assert _same_ranking(result, rank_independent(relation, rf))
+    small = generate_independent(ORACLE_N, rng=101, columnar=True)
+    assert_matches_oracle(Engine().rank(small, rf), small, rf)
     # n*: where the kernel's recurrence stops, found on ever longer heads
     # of the score-sorted relation so the full (n, h) matrix is never built.
     probabilities = relation.sorted_probabilities()
@@ -587,8 +592,8 @@ def test_andxor_general_weight_cold(benchmark, save_result):
     engine per call, so every call builds the tree's positional matrix:
     all 200 tuples' generating functions in one stacked walk of the tree.
     The call repeats ``COLD_TREE_ROUNDS`` times per timed call, at the
-    same size in smoke and full runs.  The ranking must equal the legacy
-    ``rank_tree`` one bit for bit.
+    same size in smoke and full runs.  The same spec on an n = 8 Syn-XOR
+    tree must agree with the possible-worlds oracle.
     """
     tree = syn_xor(COLD_TREE_N, rng=227)
     rf = PRFOmega(StepWeight(COLD_TREE_HORIZON))
@@ -601,9 +606,9 @@ def test_andxor_general_weight_cold(benchmark, save_result):
     result, elapsed = _best_of(cold)
     run_once(benchmark, cold)
 
-    legacy = rank_tree(tree, rf)
-    assert result.tids() == legacy.tids()
-    assert [item.value for item in result] == [item.value for item in legacy]
+    assert len(result) == COLD_TREE_N
+    small = syn_xor(ORACLE_N, rng=227)
+    assert_matches_oracle(Engine().rank(small, rf), small, rf)
     save_result(
         "engine_andxor_general_weight",
         "\n".join(
@@ -625,16 +630,19 @@ def test_markov_rank_cold(benchmark, save_result):
     every call builds the positional matrix: all 60 conditioned
     calibrations and partial-sum DPs in one pass over row-stacked tables.
     The call repeats ``COLD_MARKOV_ROUNDS`` times per timed call, at the
-    same size in smoke and full runs.  The values must equal the legacy
-    ``rank_markov_network`` ones bit for bit.
+    same size in smoke and full runs.  The same spec on an n = 8 chain
+    built alike must agree with the possible-worlds oracle.
     """
-    rng = np.random.default_rng(233)
-    tuples = [
-        Tuple(f"t{position}", float(score), 1.0)
-        for position, score in enumerate(rng.permutation(COLD_MARKOV_N * 10)[:COLD_MARKOV_N])
-    ]
-    chain = MarkovChainRelation.homogeneous(tuples, 0.6, 0.7, 0.8, name="cold-chain")
-    network = chain.to_markov_network()
+    def chain_network(n: int):
+        rng = np.random.default_rng(233)
+        tuples = [
+            Tuple(f"t{position}", float(score), 1.0)
+            for position, score in enumerate(rng.permutation(n * 10)[:n])
+        ]
+        chain = MarkovChainRelation.homogeneous(tuples, 0.6, 0.7, 0.8, name="cold-chain")
+        return chain.to_markov_network()
+
+    network = chain_network(COLD_MARKOV_N)
     rf = PRFe(0.95)
 
     def cold():
@@ -645,11 +653,9 @@ def test_markov_rank_cold(benchmark, save_result):
     result, elapsed = _best_of(cold)
     run_once(benchmark, cold)
 
-    legacy = rank_markov_network(network, rf)
-    assert result.tids() == legacy.tids()
-    assert np.array_equal(
-        np.array([item.value for item in result]), np.array([item.value for item in legacy])
-    )
+    assert len(result) == COLD_MARKOV_N
+    small = chain_network(ORACLE_N)
+    assert_matches_oracle(Engine().rank(small, rf), small, rf)
     save_result(
         "engine_markov_cold",
         "\n".join(

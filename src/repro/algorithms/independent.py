@@ -163,19 +163,3 @@ def rank_independent(
     """
     return Engine().rank(relation, rf, name=name)
 
-
-def expected_world_size_excluding(
-    relation: ProbabilisticRelation,
-) -> dict[Any, float]:
-    """``E[|pw|  restricted to worlds without t] * Pr(t absent)`` for every tuple.
-
-    This is the ``er2`` term of the expected-rank decomposition in
-    Section 3.3: for independent tuples
-    ``er2(t) = (1 - Pr(t)) * (C - Pr(t))`` with ``C = sum_i Pr(t_i)``.
-    Exposed here because :mod:`repro.baselines.expected_rank` shares the
-    score-sorted machinery of this module.
-    """
-    total = relation.expected_world_size()
-    return {
-        t.tid: (1.0 - t.probability) * (total - t.probability) for t in relation
-    }

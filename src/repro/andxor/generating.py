@@ -31,6 +31,7 @@ import numpy as np
 
 from ..algorithms.polynomials import multiply, trim
 from ..core.tuples import Tuple
+from ..core.weights import clamped_limit
 from .tree import AndNode, AndXorTree, LeafNode, Node, XorNode
 
 __all__ = [
@@ -201,7 +202,7 @@ def positional_distribution(
         raise KeyError(f"no leaf with identifier {tid!r}") from None
     labels: dict[Any, object] = {t.tid: LABEL_X for t in ordered[:position]}
     labels[tid] = LABEL_Y
-    limit = len(ordered) if max_rank is None else min(int(max_rank), len(ordered))
+    limit = clamped_limit(len(ordered), max_rank)
     poly = generating_function(tree, labels, max_degree=max(limit - 1, 0))
     distribution = np.zeros(limit + 1, dtype=float)
     coefficients = poly.x_coefficients_of_y()
@@ -231,7 +232,7 @@ def positional_probabilities_tree(
     """
     ordered = tree.sorted_tuples()
     n = len(ordered)
-    limit = n if max_rank is None else min(int(max_rank), n)
+    limit = clamped_limit(n, max_rank)
     matrix = np.zeros((n, limit), dtype=float)
     if limit == 0:
         return ordered, matrix

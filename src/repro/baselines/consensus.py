@@ -22,8 +22,8 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Sequence
 
 from ..core.prf import PRFOmega
-from ..core.ranking import rank
 from ..core.weights import StepWeight, TabulatedWeight
+from ..engine import default_engine
 from ..metrics.set_distances import (
     expected_distance,
     symmetric_difference,
@@ -63,8 +63,8 @@ def consensus_topk(
         raise ValueError(f"expected {k} weights, got {len(weights)}")
     if any(w < 0 for w in weights):
         raise ValueError("weighted symmetric difference requires non-negative weights")
-    result = rank(data, PRFOmega(TabulatedWeight(weights)))
-    return result.top_k(k)
+    rf = PRFOmega(TabulatedWeight(weights))
+    return default_engine().rank_top_k(data, rf, k)[0].top_k(k)
 
 
 def expected_symmetric_difference(worlds, answer: Iterable[Any], k: int) -> float:

@@ -11,9 +11,10 @@ The expected rank decomposes (Section 3.3) as::
     er2(t)  = E[|pw| ; t not in pw]                   (worlds without t)
 
 For independent tuples both terms have closed forms that cost O(n) after
-sorting: ``er1(t_i) = p_i * (1 + sum_{l < i} p_l)`` and
+the engine's sort: ``er1(t_i) = p_i * (1 + sum_{l < i} p_l)`` and
 ``er2(t) = (1 - p_t) * (C - p_t)`` with ``C = sum_i p_i``.  For and/xor
-trees the terms are read off one generating function per tuple.
+trees ``er1`` is the engine's positional matrix times the ranks, and
+``er2`` is read off one generating function per tuple.
 """
 
 from __future__ import annotations
@@ -22,59 +23,48 @@ from typing import Any
 
 import numpy as np
 
+from ..andxor.generating import LABEL_X, LABEL_Y, generating_function
+from ..andxor.tree import AndXorTree
+from ..core.columnar import RelationColumns
 from ..core.result import RankingResult
-from ..core.tuples import ProbabilisticRelation
-from ._dispatch import sorted_tuples
+from ..engine import default_engine
+from ..engine.backends import build_result
 
-__all__ = ["expected_rank_values", "expected_rank_ranking", "expected_rank_topk"]
-
-
-def _expected_ranks_independent(relation: ProbabilisticRelation) -> dict[Any, float]:
-    ordered = relation.sorted_by_score()
-    probabilities = np.array([t.probability for t in ordered], dtype=float)
-    total = float(probabilities.sum())
-    prefix = np.concatenate(([0.0], np.cumsum(probabilities)[:-1]))
-    er1 = probabilities * (1.0 + prefix)
-    er2 = (1.0 - probabilities) * (total - probabilities)
-    return {t.tid: float(er1[i] + er2[i]) for i, t in enumerate(ordered)}
+__all__ = [
+    "expected_rank_terms",
+    "expected_rank_values",
+    "expected_rank_ranking",
+    "expected_rank_topk",
+]
 
 
-def _expected_ranks_tree(tree) -> dict[Any, float]:
-    from ..andxor.generating import (
-        LABEL_X,
-        LABEL_Y,
-        generating_function,
-        positional_distribution,
-    )
-
-    ordered = tree.sorted_tuples()
-    values: dict[Any, float] = {}
+def expected_rank_terms(data) -> tuple[np.ndarray, np.ndarray]:
+    """``(er1, er2)`` of every tuple, aligned with ``Engine.sorted_tuples(data)``."""
+    engine = default_engine()
+    if isinstance(data, RelationColumns):
+        p = engine.backend_for(data).entry(data).probabilities
+        prefix = np.concatenate(([0.0], np.cumsum(p)[:-1]))
+        return p * (1.0 + prefix), (1.0 - p) * (float(p.sum()) - p)
+    if not isinstance(data, AndXorTree):
+        raise TypeError(f"unsupported dataset type {type(data).__name__}")
+    # er1: worlds containing t contribute t's rank there, i.e. one plus the
+    # number of *higher-score* tuples present — exactly the rank distribution.
+    ordered, matrix = engine.positional_matrix(data)
+    er1 = matrix @ np.arange(1, matrix.shape[1] + 1, dtype=float)
+    # er2: worlds without t contribute the world size.  Label every other
+    # leaf x and t itself y; the y-free coefficients give
+    # Pr(t absent and exactly a other tuples present).
+    er2 = np.empty(len(ordered))
     all_x = {t.tid: LABEL_X for t in ordered}
-    for t in ordered:
-        # er1: worlds containing t contribute t's rank there, i.e. one plus the
-        # number of *higher-score* tuples present — exactly the rank distribution.
-        distribution = positional_distribution(tree, t.tid)
-        er1 = float(np.dot(distribution, np.arange(distribution.size, dtype=float)))
-        # er2: worlds without t contribute the world size.  Label every other
-        # leaf x and t itself y; the y-free coefficients give
-        # Pr(t absent and exactly a other tuples present).
-        labels = dict(all_x)
-        labels[t.tid] = LABEL_Y
-        poly = generating_function(tree, labels)
-        er2 = float(np.dot(poly.a, np.arange(poly.a.size, dtype=float)))
-        values[t.tid] = er1 + er2
-    return values
+    for i, t in enumerate(ordered):
+        poly = generating_function(data, {**all_x, t.tid: LABEL_Y})
+        er2[i] = np.dot(poly.a, np.arange(poly.a.size, dtype=float))
+    return er1, er2
 
 
 def expected_rank_values(data) -> dict[Any, float]:
     """Expected rank per tuple identifier (lower is better)."""
-    if isinstance(data, ProbabilisticRelation):
-        return _expected_ranks_independent(data)
-    from ..andxor.tree import AndXorTree
-
-    if isinstance(data, AndXorTree):
-        return _expected_ranks_tree(data)
-    raise TypeError(f"unsupported dataset type {type(data).__name__}")
+    return {tid: -value for tid, value in expected_rank_ranking(data).values().items()}
 
 
 def expected_rank_ranking(data, name: str = "E-Rank") -> RankingResult:
@@ -85,14 +75,11 @@ def expected_rank_ranking(data, name: str = "E-Rank") -> RankingResult:
     :class:`~repro.core.result.RankingResult` orders tuples correctly; the
     sort key is supplied explicitly to avoid the magnitude ambiguity.
     """
-    ordered = sorted_tuples(data)
-    values = expected_rank_values(data)
-    raw = [values[t.tid] for t in ordered]
-    return RankingResult.from_values(
-        ordered,
-        [-value for value in raw],
-        name=name,
-        sort_keys=[-value for value in raw],
+    er1, er2 = expected_rank_terms(data)
+    negated = -(er1 + er2)
+    backend = default_engine().backend_for(data)
+    return build_result(
+        backend.rows(data), backend.entry(data), negated, name, sort_keys=negated
     )
 
 

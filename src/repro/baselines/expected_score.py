@@ -10,23 +10,31 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
+from ..core.columnar import RelationColumns
 from ..core.result import RankingResult
-from ._dispatch import marginal_probabilities, sorted_tuples
+from ..engine import default_engine
+from ..engine.backends import build_result
 
 __all__ = ["expected_score_values", "expected_score_ranking", "expected_score_topk"]
 
 
 def expected_score_values(data) -> dict[Any, float]:
     """``Pr(t) * score(t)`` per tuple identifier."""
-    marginals = marginal_probabilities(data)
-    return {t.tid: marginals[t.tid] * t.score for t in sorted_tuples(data)}
+    return expected_score_ranking(data).values()
 
 
 def expected_score_ranking(data, name: str = "E-Score") -> RankingResult:
     """Full ranking by decreasing expected score."""
-    ordered = sorted_tuples(data)
-    values = expected_score_values(data)
-    return RankingResult.from_values(ordered, [values[t.tid] for t in ordered], name=name)
+    backend = default_engine().backend_for(data)
+    entry = backend.entry(data)
+    if isinstance(data, RelationColumns):
+        marginals = entry.probabilities
+    else:
+        by_tid = backend.marginal_probabilities(data)
+        marginals = np.array([by_tid[t.tid] for t in backend.sorted_tuples(data)])
+    return build_result(backend.rows(data), entry, marginals * entry.scores, name)
 
 
 def expected_score_topk(data, k: int) -> list[Any]:

@@ -18,7 +18,6 @@ from ..core.ranking import rank
 from ..core.result import RankingResult
 from ..core.weights import PositionWeight
 from ..core.tuples import ProbabilisticRelation
-from ._dispatch import sorted_tuples
 
 __all__ = [
     "k_selection_ranking",
@@ -71,7 +70,7 @@ def greedy_k_selection(relation: ProbabilisticRelation, k: int) -> list[Any]:
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    remaining = [t.tid for t in sorted_tuples(relation)]
+    remaining = [t.tid for t in relation.sorted_by_score()]
     selection: list[Any] = []
     for _ in range(min(k, len(remaining))):
         best_tid = None

@@ -8,17 +8,33 @@ default here enforces *distinct* tuples by skipping tuples that were
 already placed at a higher position.
 
 Each per-position selection is a PRF evaluation with the position weight
-``omega_j(i) = delta(i = j)``; the whole answer needs the positional
-probability matrix up to ``k``, which costs O(n k) for independent tuples.
+``omega_j(i) = delta(i = j)``: a masked ``argmax`` over column ``j`` of
+the engine's positional probability matrix up to ``k``, which costs
+O(n k) for independent tuples.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ._dispatch import positional_matrix
+import numpy as np
+
+from ..engine import default_engine
 
 __all__ = ["u_rank_topk", "u_rank_assignment"]
+
+#: Rows per block of the positional matrix whose column maxima U-Rank scans.
+_BLOCK = 256
+
+
+def _block_maxima(matrix: np.ndarray) -> np.ndarray:
+    """``maxima[b, j]``: the largest entry of column ``j`` in row block ``b``."""
+    n, k = matrix.shape
+    whole = n - n % _BLOCK
+    maxima = matrix[:whole].reshape(-1, _BLOCK, k).max(axis=1)
+    if whole < n:
+        maxima = np.vstack([maxima, matrix[whole:].max(axis=0)])
+    return maxima
 
 
 def u_rank_assignment(
@@ -39,21 +55,30 @@ def u_rank_assignment(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    ordered, matrix = positional_matrix(data, max_rank=k)
-    n = len(ordered)
-    k_effective = min(k, n)
+    ordered, matrix = default_engine().positional_matrix(data, max_rank=k)
+    # A strided column read costs as much as the whole matrix's row-major
+    # pass, so each column scans its blocks of rows by descending block
+    # maximum and stops at the first block that cannot beat the best so far.
+    maxima = _block_maxima(matrix)
+    candidates = np.ones(len(ordered), dtype=bool)
     answer: list[tuple[Any, float]] = []
-    used: set[int] = set()
-    for position in range(k_effective):
-        column = matrix[:, position]
+    for j, column in enumerate(matrix.T):
+        best, value = -1, -np.inf
+        # Stable: blocks with equal maxima are visited in row order.
+        for block in np.argsort(-maxima[:, j], kind="stable"):
+            start = int(block) * _BLOCK
+            if maxima[block, j] < value or (maxima[block, j] == value and start > best):
+                break
+            rows = slice(start, start + _BLOCK)
+            # Rows are score-descending, so argmax's first maximum is the
+            # candidate with the largest (probability, score), ties by
+            # score order.
+            segment = np.where(candidates[rows], column[rows], -np.inf)
+            offset = int(np.argmax(segment))
+            if segment[offset] > value or (segment[offset] == value and start + offset < best):
+                best, value = start + offset, segment[offset]
         if distinct:
-            candidates = [i for i in range(n) if i not in used]
-        else:
-            candidates = list(range(n))
-        if not candidates:
-            break
-        best = max(candidates, key=lambda i: (column[i], ordered[i].score))
-        used.add(best)
+            candidates[best] = False
         answer.append((ordered[best].tid, float(column[best])))
     return answer
 

@@ -18,13 +18,14 @@ tests validate it against exhaustive enumeration on small trees.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from ..algorithms.montecarlo import estimate_topk_set_probabilities
+from ..andxor.tree import AndXorTree
+from ..core.possible_worlds import PossibleWorld, sample_worlds
 from ..core.tuples import ProbabilisticRelation
-from ._dispatch import draw_worlds
 
 __all__ = ["u_topk", "u_topk_independent", "u_topk_monte_carlo", "topk_answer_probability"]
 
@@ -112,6 +113,17 @@ def topk_answer_probability(relation: ProbabilisticRelation, answer: Sequence[An
     return probability
 
 
+def _draw_worlds(
+    data, num_samples: int, rng: np.random.Generator | int | None = None
+) -> Iterator[PossibleWorld]:
+    """Sample possible worlds of an independent relation or an and/xor tree."""
+    if isinstance(data, ProbabilisticRelation):
+        return sample_worlds(data, num_samples, rng=rng)
+    if isinstance(data, AndXorTree):
+        return data.sample_worlds(num_samples, rng=rng)
+    raise TypeError(f"unsupported dataset type {type(data).__name__}")
+
+
 def u_topk_monte_carlo(
     data,
     k: int,
@@ -123,7 +135,7 @@ def u_topk_monte_carlo(
     Samples ``num_samples`` worlds, tallies the ordered top-k prefixes and
     returns the most frequent one with its estimated probability.
     """
-    worlds = draw_worlds(data, num_samples, rng=rng)
+    worlds = _draw_worlds(data, num_samples, rng=rng)
     totals = estimate_topk_set_probabilities(worlds, k)
     if not totals:
         raise ValueError("no worlds sampled")

@@ -44,7 +44,29 @@ __all__ = [
     "NDCGDiscountWeight",
     "TabulatedWeight",
     "CallableWeight",
+    "clamped_limit",
 ]
+
+
+def clamped_limit(n: int, max_rank: int | None) -> int:
+    """Rank columns to materialize: ``min(max_rank, n)``, or ``n`` for ``None``.
+
+    The one ``max_rank`` check of the engine's backends and the
+    model-level positional-probability functions.
+
+    Raises
+    ------
+    ValueError
+        If ``max_rank`` is negative or not integral.
+    """
+    if max_rank is None:
+        return n
+    limit = int(max_rank)
+    if limit != max_rank:
+        raise ValueError(f"max_rank must be an integer, got {max_rank!r}")
+    if limit < 0:
+        raise ValueError(f"max_rank must be non-negative, got {max_rank}")
+    return min(limit, n)
 
 
 class WeightFunction:

@@ -74,7 +74,8 @@ class AndXorBackend(CorrelatedBackend):
         return "andxor-generating-function (Theorem 1)"
 
     @staticmethod
-    def _tuples(tree: AndXorTree):
+    def rows(tree: AndXorTree):
+        """The leaf tuples, in the sequence the entry's ``order`` indexes."""
         return tree.tuples()
 
     # ------------------------------------------------------------------

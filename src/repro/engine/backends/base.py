@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
+from ...core.columnar import RelationColumns
 from ...core.prf import RankingFunction
 from ...core.result import ColumnarRankingResult, RankingResult, TupleRows
 from ...core.tuples import Tuple
@@ -45,32 +46,43 @@ def distribution_row(
 
 
 def build_result(
-    tuples: Sequence[Tuple], entry, values: np.ndarray, name: str, k: int | None = None
+    rows,
+    entry,
+    values: np.ndarray,
+    name: str,
+    k: int | None = None,
+    sort_keys: np.ndarray | None = None,
 ) -> RankingResult:
-    """The ranking of a tree's or network's ``tuples`` from values over a sorted prefix.
+    """The ranking of a dataset's ``rows`` from values over a sorted prefix.
 
-    ``values`` cover the first ``m`` tuples of the entry's score-descending
-    ``order``.  Without ``k`` they cover every tuple and the result is a
-    lazy :class:`~repro.core.result.ColumnarRankingResult`: the ranked
-    positions into ``tuples`` and the ranked values as arrays, with
+    ``rows`` are what the entry's ``order`` indexes
+    (:meth:`RankingBackend.rows`): an independent relation itself, or a
+    tree's or network's tuple sequence.  ``values`` cover the first ``m``
+    tuples of the entry's score-descending ``order``.  Without ``k`` they
+    cover every tuple and the result is a lazy
+    :class:`~repro.core.result.ColumnarRankingResult`: the ranked
+    positions into ``rows`` and the ranked values as arrays, with
     :class:`~repro.core.result.RankedItem` objects built only when a
     caller iterates or indexes it.  With ``k`` only the best ``k`` items
     are built, eagerly; for an early-terminated prefix they are the first
     ``k`` items of the full ranking (the bound puts every unexamined tuple
     strictly below the k-th examined key).
     :func:`~repro.engine.topk.ranking_order` sorts by the ``(-|value|,
-    -score, str(tid))`` triple of :meth:`RankingResult.from_values`, and
-    the items are the caller's ``tuples``.
+    -score, str(tid))`` triple of :meth:`RankingResult.from_values`, with
+    ``sort_keys`` (larger is better) in place of ``|value|`` when given,
+    and the items are the caller's tuples.
     """
     values = np.asarray(values)
     m = values.shape[0]
-    order = ranking_order(values, entry.scores[:m], lambda: entry.tid_strings(tuples)[:m])
+    order = ranking_order(
+        values, entry.scores[:m], lambda: entry.tid_strings(rows)[:m], sort_keys
+    )
+    if not isinstance(rows, RelationColumns):
+        rows = TupleRows(rows)
     if k is None:
-        return ColumnarRankingResult(
-            TupleRows(tuples), entry.order[order], values[order], name=name
-        )
+        return ColumnarRankingResult(rows, entry.order[order], values[order], name=name)
     order = order[:k]
-    return ranked_result([tuples[i] for i in entry.order[order].tolist()], values[order], name)
+    return ranked_result(rows.tuples_at(entry.order[order]), values[order], name)
 
 
 class RankingBackend(ABC):
@@ -104,6 +116,14 @@ class RankingBackend(ABC):
     @abstractmethod
     def handles(self, data) -> bool:
         """Whether this backend executes datasets of ``data``'s type."""
+
+    @staticmethod
+    @abstractmethod
+    def rows(data) -> "RelationColumns | Sequence[Tuple]":
+        """What ``data``'s cache entry ``order`` indexes (see :func:`build_result`).
+
+        An independent relation itself; a tree's or network's tuple sequence.
+        """
 
     @abstractmethod
     def algorithm(self, rf: RankingFunction) -> str:
@@ -181,11 +201,6 @@ class CorrelatedBackend(RankingBackend):
     gathered through the entry's score-descending ``order``.
     """
 
-    @staticmethod
-    @abstractmethod
-    def _tuples(data) -> Sequence[Tuple]:
-        """The dataset's tuples, in the sequence its entry's ``order`` indexes."""
-
     @abstractmethod
     def _values(self, data, entry, rf: RankingFunction) -> np.ndarray:
         """The value of every tuple of ``data`` under ``rf``, score-descending."""
@@ -210,7 +225,7 @@ class CorrelatedBackend(RankingBackend):
         if not rfs:
             return []
         entry = self.entry(data)
-        tuples = self._tuples(data)
+        tuples = self.rows(data)
         label = name or data.name
         results = [
             build_result(tuples, entry, values, label)
@@ -234,7 +249,7 @@ class CorrelatedBackend(RankingBackend):
         for data in datasets:
             entry = self.entry(data, store=store)
             values = self._values(data, entry, rf)
-            results.append(build_result(self._tuples(data), entry, values, data.name))
+            results.append(build_result(self.rows(data), entry, values, data.name))
         self.cache.enforce_budget()
         return results
 
@@ -247,11 +262,11 @@ class CorrelatedBackend(RankingBackend):
         self.cache.enforce_budget()
         # Copy: every call returns a fresh matrix, and a caller mutating
         # a view would silently corrupt the cache.
-        return entry.sorted_tuples(self._tuples(data)), matrix.copy()
+        return entry.sorted_tuples(self.rows(data)), matrix.copy()
 
     def sorted_tuples(self, data) -> list[Tuple]:
         """Score-descending tuples (cached order, the caller's tuple objects)."""
-        return self.entry(data).sorted_tuples(self._tuples(data))
+        return self.entry(data).sorted_tuples(self.rows(data))
 
     def rank_distribution(self, data, tid: Any, max_rank: int | None = None) -> np.ndarray:
         """Single-tuple rank distribution.
@@ -263,7 +278,7 @@ class CorrelatedBackend(RankingBackend):
         limit = clamped_limit(entry.n, max_rank)
         positional = entry.positional
         if positional is not None and positional.shape[1] >= limit:
-            ordered = entry.sorted_tuples(self._tuples(data))
+            ordered = entry.sorted_tuples(self.rows(data))
             return distribution_row(ordered, positional, tid, limit)
         distribution = self._cold_distribution(data, entry, tid, limit)
         self.cache.enforce_budget()

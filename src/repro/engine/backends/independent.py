@@ -186,6 +186,11 @@ class IndependentBackend(RankingBackend):
         """Whether ``data`` is a tuple-independent relation (either storage)."""
         return isinstance(data, RelationColumns)
 
+    @staticmethod
+    def rows(relation: RelationColumns) -> RelationColumns:
+        """The relation itself: its entry's ``order`` holds original positions."""
+        return relation
+
     def algorithm(self, rf: RankingFunction) -> str:
         """Label of the Table-3 algorithm picked for ``rf``."""
         if isinstance(rf, PRFe):

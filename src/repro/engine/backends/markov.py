@@ -60,7 +60,8 @@ class MarkovBackend(CorrelatedBackend):
         return "markov-junction-tree-dp (Section 9.4)"
 
     @staticmethod
-    def _tuples(model: MarkovNetworkRelation):
+    def rows(model: MarkovNetworkRelation):
+        """The network's tuples, in the sequence the entry's ``order`` indexes."""
         return model.tuples
 
     # ------------------------------------------------------------------

@@ -20,8 +20,8 @@ against one shared fingerprint-keyed LRU cache:
   sharing the sort and the per-model hot intermediate across specs.
 * :meth:`Engine.positional_matrix` / :meth:`Engine.rank_distribution` /
   :meth:`Engine.sorted_tuples` / :meth:`Engine.marginal_probabilities` —
-  the derived queries behind PT(h), U-Rank, the learning features and
-  the baseline dispatch, cached for every model.
+  the derived queries behind U-Rank, E-Rank, E-Score and the learning
+  features, cached for every model.
 * :meth:`Engine.submit_batch` / :meth:`Engine.plan_batch` /
   :meth:`Engine.cache_info` — the serving hooks: non-blocking batch
   submission on a background executor, per-request model/algorithm
@@ -33,8 +33,8 @@ coalesced service path — produces bit-identical values for the same
 (dataset, ranking function) pair; coalescing can never change an answer.
 
 A module-level :func:`default_engine` serves :func:`repro.core.ranking.
-rank` and the baseline dispatch so the whole package benefits from the
-shared cache without threading an engine handle everywhere.
+rank` and the baselines so the whole package benefits from the shared
+cache without threading an engine handle everywhere.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from functools import partial
 import numpy as np
 
 from ..core.prf import PRFe, RankingFunction
+from ..core.weights import clamped_limit
 from .parallel import row_parts, run_parts
 
 __all__ = [
@@ -71,24 +72,6 @@ def uses_log_space(rf: RankingFunction) -> bool:
         return False
     alpha = rf.alpha
     return isinstance(alpha, float) and 0.0 < alpha <= 1.0
-
-
-def clamped_limit(n: int, max_rank: int | None) -> int:
-    """Rank columns to materialize: ``min(max_rank, n)``, or ``n`` for ``None``.
-
-    Raises
-    ------
-    ValueError
-        If ``max_rank`` is negative or not integral.
-    """
-    if max_rank is None:
-        return n
-    limit = int(max_rank)
-    if limit != max_rank:
-        raise ValueError(f"max_rank must be an integer, got {max_rank!r}")
-    if limit < 0:
-        raise ValueError(f"max_rank must be non-negative, got {max_rank}")
-    return min(limit, n)
 
 
 def general_weights(rf: RankingFunction, n: int) -> np.ndarray:

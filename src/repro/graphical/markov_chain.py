@@ -1,12 +1,13 @@
-"""Ranking over Markov chains (Section 9.3 of the paper).
+"""Markov-chain relations (Section 9.3 of the paper).
 
 A Markov chain is the simplest non-trivial graphical model: each tuple's
-existence indicator depends only on its predecessor in the chain.  The
-paper gives an O(m^2)-per-tuple dynamic program for the rank
-distribution; this module implements it directly (without going through
-a junction tree), plus conversions to the general
-:class:`~repro.graphical.model.MarkovNetworkRelation` so the two
-algorithms can be cross-checked.
+existence indicator depends only on its predecessor in the chain.  This
+module builds chains and converts them to the general
+:class:`~repro.graphical.model.MarkovNetworkRelation`, which the engine
+ranks through its junction tree.  The paper's O(m^2)-per-tuple forward
+dynamic program for the rank distribution is the test suite's Section 9.3
+reference (``tests/references.py``), cross-checked against the junction
+tree and the possible-worlds oracle.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ..core.result import RankingResult
-from ..core.prf import RankingFunction
 from ..core.tuples import Tuple
 from .factors import Factor
 from .model import MarkovNetworkRelation
@@ -81,12 +80,6 @@ class MarkovChainRelation:
     def tuples(self) -> Sequence[Tuple]:
         return tuple(self._tuples)
 
-    def sorted_tuples(self) -> list[Tuple]:
-        """Tuples sorted by descending score with deterministic tie-breaking."""
-        indexed = list(enumerate(self._tuples))
-        indexed.sort(key=lambda pair: (-pair[1].score, pair[0]))
-        return [t for _, t in indexed]
-
     def marginals(self) -> dict[Any, float]:
         """``Pr(X_j = 1)`` for every chain position, by forward propagation."""
         result: dict[Any, float] = {}
@@ -129,73 +122,3 @@ class MarkovChainRelation:
         )
         transitions = [matrix.copy() for _ in range(max(len(tuples) - 1, 0))]
         return cls(tuples, initial, transitions, name=name)
-
-    # ------------------------------------------------------------------
-    # Rank distributions (the Section 9.3 dynamic program)
-    # ------------------------------------------------------------------
-    def rank_distribution(self, tid: Any, max_rank: int | None = None) -> np.ndarray:
-        """``Pr(r(t) = j)`` for the tuple with identifier ``tid``.
-
-        Returns an array of length ``limit + 1`` with index 0 unused.
-        """
-        chain_index = next(
-            (i for i, t in enumerate(self._tuples) if t.tid == tid), None
-        )
-        if chain_index is None:
-            raise KeyError(f"no tuple with identifier {tid!r}")
-        ordered = self.sorted_tuples()
-        outranks = set()
-        for t in ordered:
-            if t.tid == tid:
-                break
-            outranks.add(t.tid)
-        deltas = [1 if t.tid in outranks else 0 for t in self._tuples]
-
-        m = len(self._tuples)
-        limit = m if max_rank is None else min(int(max_rank), m)
-        # forward[y, c] = Pr(X_1..X_j consistent with evidence, X_j = y,
-        #                    count of outranking present tuples so far = c)
-        forward = np.zeros((2, m + 1), dtype=float)
-        forward[0, 0] = 1.0 - self.initial
-        forward[1, deltas[0]] = self.initial
-        if chain_index == 0:
-            forward[0, :] = 0.0
-        for j in range(1, m):
-            matrix = self.transitions[j - 1]
-            updated = np.zeros_like(forward)
-            for new_value in (0, 1):
-                shift = deltas[j] * new_value
-                incoming = forward[0] * matrix[0, new_value] + forward[1] * matrix[1, new_value]
-                if shift:
-                    updated[new_value, shift:] += incoming[:-shift]
-                else:
-                    updated[new_value] += incoming
-            if j == chain_index:
-                updated[0, :] = 0.0
-            forward = updated
-        counts = forward.sum(axis=0)
-        distribution = np.zeros(limit + 1, dtype=float)
-        upto = min(limit, m)
-        distribution[1 : upto + 1] = counts[:upto]
-        return distribution
-
-    def positional_probabilities(
-        self, max_rank: int | None = None
-    ) -> tuple[list[Tuple], np.ndarray]:
-        """Positional probabilities of every tuple, aligned to score order."""
-        ordered = self.sorted_tuples()
-        limit = len(ordered) if max_rank is None else min(int(max_rank), len(ordered))
-        matrix = np.zeros((len(ordered), limit), dtype=float)
-        for i, t in enumerate(ordered):
-            matrix[i, :] = self.rank_distribution(t.tid, max_rank=limit)[1:]
-        return ordered, matrix
-
-    def prf_values(self, rf: RankingFunction) -> tuple[list[Tuple], np.ndarray]:
-        """PRF values of every tuple under ``rf``."""
-        ordered, matrix = self.positional_probabilities(max_rank=rf.weight.horizon)
-        return ordered, rf.evaluate_positional(ordered, matrix)
-
-    def rank(self, rf: RankingFunction, name: str = "") -> RankingResult:
-        """Rank the chain's tuples by a PRF-family ranking function."""
-        ordered, values = self.prf_values(rf)
-        return RankingResult.from_values(ordered, values.tolist(), name=name or self.name)

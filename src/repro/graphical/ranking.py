@@ -39,6 +39,7 @@ import numpy as np
 from ..core.prf import RankingFunction
 from ..core.result import RankingResult
 from ..core.tuples import Tuple
+from ..core.weights import clamped_limit
 from .junction_tree import CalibratedTree, JunctionTree, build_junction_tree
 from .model import MarkovNetworkRelation
 
@@ -273,7 +274,7 @@ def rank_distribution_markov(
     if stop is None:
         raise KeyError(f"no tuple with identifier {tid!r}")
     tree = tree or junction_tree_for(model)
-    limit = len(tuples) if max_rank is None else min(int(max_rank), len(tuples))
+    limit = clamped_limit(len(tuples), max_rank)
     counted = _counted_before(tree, tuples, np.array([stop]))
     row = _rank_rows(tree, base or tree.calibrate(), [tid], counted, limit)[0]
     return np.concatenate(([0.0], row))
@@ -323,7 +324,7 @@ def positional_probabilities_markov(
     """
     ordered = model.sorted_tuples()
     n = len(ordered)
-    limit = n if max_rank is None else min(int(max_rank), n)
+    limit = clamped_limit(n, max_rank)
     matrix = np.zeros((n, limit), dtype=float)
     tree = tree or junction_tree_for(model)
     base = base or tree.calibrate()

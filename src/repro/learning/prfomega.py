@@ -22,9 +22,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..baselines._dispatch import positional_matrix
 from ..core.prf import PRFOmega
 from ..core.weights import TabulatedWeight
+from ..engine import default_engine
 
 __all__ = ["PairwiseLinearRanker", "LearnedOmega", "learn_prfomega_weights"]
 
@@ -150,7 +150,7 @@ def learn_prfomega_weights(
         raise ValueError(f"h must be >= 1, got {h}")
     if not preferences:
         raise ValueError("at least one preference pair is required")
-    ordered, matrix = positional_matrix(data, max_rank=h)
+    ordered, matrix = default_engine().positional_matrix(data, max_rank=h)
     if matrix.shape[1] < h:
         matrix = np.pad(matrix, ((0, 0), (0, h - matrix.shape[1])))
     features = {t.tid: matrix[i] for i, t in enumerate(ordered)}

@@ -26,14 +26,18 @@ from repro import (
     Tuple,
 )
 from repro.algorithms.independent import rank_independent
-from repro.andxor.generating import positional_distribution
+from repro.andxor.generating import positional_distribution, positional_probabilities_tree
 from repro.andxor.ranking import rank_tree
 from repro.andxor.tree import AndXorTree
 from repro.core.weights import NDCGDiscountWeight, StepWeight
 from repro.datasets.synthetic import TreeShape, generate_random_tree, syn_high, syn_xor
 from repro.engine import dataset_fingerprint, network_fingerprint, tree_fingerprint
 from repro.graphical import Factor, MarkovChainRelation, MarkovNetworkRelation
-from repro.graphical.ranking import rank_distribution_markov, rank_markov_network
+from repro.graphical.ranking import (
+    positional_probabilities_markov,
+    rank_distribution_markov,
+    rank_markov_network,
+)
 from tests.conftest import assert_matches_oracle
 
 FAMILY = [
@@ -122,6 +126,28 @@ class TestMaxRankValidation:
         else:
             tid = engine.sorted_tuples(data)[0].tid
             call = lambda: engine.rank_distribution(data, tid, max_rank=max_rank)  # noqa: E731
+        message = "non-negative" if max_rank == -1 else "an integer"
+        with pytest.raises(ValueError, match=f"max_rank must be {message}"):
+            call()
+
+    @pytest.mark.parametrize(
+        "model, function",
+        [
+            ("andxor", positional_probabilities_tree),
+            ("andxor", positional_distribution),
+            ("markov", positional_probabilities_markov),
+            ("markov", rank_distribution_markov),
+        ],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    @pytest.mark.parametrize("max_rank", [-1, 2.5])
+    def test_model_level_functions_validate_max_rank(self, model, function, max_rank):
+        data = MODELS[model][0](np.random.default_rng(409))
+        if function in (positional_distribution, rank_distribution_markov):
+            tid = Engine().sorted_tuples(data)[0].tid
+            call = lambda: function(data, tid, max_rank=max_rank)  # noqa: E731
+        else:
+            call = lambda: function(data, max_rank=max_rank)  # noqa: E731
         message = "non-negative" if max_rank == -1 else "an integer"
         with pytest.raises(ValueError, match=f"max_rank must be {message}"):
             call()

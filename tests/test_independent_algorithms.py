@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro import PRF, PRFOmega, PRFe, ProbabilisticRelation, Tuple
+from repro import PRF, PRFOmega, PRFe, ProbabilisticRelation, Tuple, default_engine
 from repro.algorithms.independent import (
-    expected_world_size_excluding,
     positional_probabilities,
     prfe_log_values,
     prfe_values,
     rank_distributions,
     rank_independent,
 )
+from repro.baselines.expected_rank import expected_rank_terms
 from repro.core.possible_worlds import (
     enumerate_worlds,
     prf_by_enumeration,
@@ -164,10 +164,11 @@ class TestGeneralPRF:
         assert values == sorted(values, reverse=True)
 
     def test_expected_world_size_excluding(self, example1_relation):
-        er2 = expected_world_size_excluding(example1_relation)
+        """E-Rank's er2 term: ``E[|pw|; t absent] = (1 - Pr(t)) * (C - Pr(t))``."""
+        _, er2 = expected_rank_terms(example1_relation)
         total = example1_relation.expected_world_size()
-        for t in example1_relation:
-            assert er2[t.tid] == pytest.approx((1 - t.probability) * (total - t.probability))
+        for t, value in zip(default_engine().sorted_tuples(example1_relation), er2):
+            assert value == pytest.approx((1 - t.probability) * (total - t.probability))
 
 
 class TestLargeScaleStability:
