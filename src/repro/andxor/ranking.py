@@ -22,8 +22,8 @@ Two evaluation strategies exist:
   change ratios with an exact zero count and a mantissa/exponent split
   (see :func:`_and_values`).  Both running scans double their stride
   each step, so the work is ``O(log n)`` numpy passes over those slots.
-  :func:`prfe_topk_values_stacked` runs the same walk on growing row
-  prefixes for top-k queries.
+  :func:`prfe_prefix_values` runs the same walk on a row prefix for
+  top-k queries.
 
 Values are aligned to the score-descending tuple order.  The engine's
 and/xor backend picks the strategy per ranking function and caches what
@@ -32,8 +32,6 @@ it builds; :func:`rank_tree` is an engine call.
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -48,7 +46,7 @@ __all__ = [
     "PRFeLayout",
     "prfe_values_stacked",
     "prfe_values_tree",
-    "prfe_topk_values_stacked",
+    "prfe_prefix_values",
     "prfe_values_tree_recompute",
     "rank_tree",
 ]
@@ -61,10 +59,6 @@ _LEAF, _AND, _XOR = 0, 1, 2
 #: Bound on ``slots * 2 * alphas`` of one stacked evaluation: longer alpha
 #: lists run in alpha chunks.  Alphas never mix, so chunking changes no bit.
 _STACK_ELEMENTS = 1 << 22
-
-#: Smallest row prefix :func:`prfe_topk_values_stacked` evaluates; later
-#: prefixes double until the bound certifies or every row is covered.
-_TOPK_MIN_ROWS = 64
 
 #: Doubling-scan steps between renormalizations of an and node's mantissas.
 _RENORMALIZE_STEPS = 8
@@ -462,50 +456,19 @@ def prfe_values_tree(
     return tree.sorted_tuples(), prfe_values_stacked(PRFeLayout(tree), [alpha])[0]
 
 
-def prfe_topk_values_stacked(
-    layout: PRFeLayout, alpha: float, k: int, safety: float = 1.0 + 1e-9
-) -> tuple[np.ndarray, int, float]:
-    """Row-prefix evaluation of a real-alpha top-k query.
+def prfe_prefix_values(layout: PRFeLayout, alpha: float, rows: int) -> tuple[np.ndarray, float]:
+    """Real-alpha PRFe values of the first ``rows`` score-sorted leaves.
 
-    Evaluates rows ``0 .. m - 1``, ``m`` the least power of two no smaller
-    than ``k`` and ``_TOPK_MIN_ROWS``, then doubles ``m``.  After each
-    prefix the new rows are scanned in order against the running k best
-    ``|value|``, and the scan stops at the first row ``i`` where the k-th
-    best strictly exceeds ``safety * alpha * F^i(alpha, alpha)`` — an
-    upper bound on every later leaf's value (any such leaf requires its
-    ``D >= C_{i+1}`` higher-score leaves present, and ``alpha < 1``
-    decays geometrically in the count).  The ``safety`` inflation absorbs
-    the rounding of the bound itself.  Returns
-    ``(values_prefix, examined, bound)`` with ``bound`` the last bound
-    evaluated (an upper bound on every leaf beyond the examined prefix,
-    reusable to certify other ``k`` against the same prefix).  A prefix
-    plan computes exactly the full plan's bits, so the values are the
-    same slice of :func:`prfe_values_stacked`.
+    Returns ``(values, expectation)``: the same slice of
+    :func:`prfe_values_stacked` bit for bit (a prefix plan computes exactly
+    the full plan's bits), and ``F^{rows-1}(alpha, alpha) =
+    E[alpha^{C_rows}]``, ``C_rows`` the number of the first ``rows``
+    leaves present.  Every later leaf needs at least ``C_rows``
+    higher-score leaves present, so ``alpha * E[alpha^{C_rows}]`` bounds
+    its value (the top-k bound of :mod:`repro.engine.topk`).
     """
-    n = layout.n
-    alpha_value = float(np.real(alpha))
-    alphas = np.array([alpha_value])
-    best: list[float] = []
-    bound = math.inf
-    values = np.zeros(0)
-    # Power-of-two prefixes: the layout keeps one plan per prefix length.
-    done, rows = 0, min(n, 1 << (max(k, _TOPK_MIN_ROWS) - 1).bit_length())
-    while done < rows:
-        root = _root_values(layout.plan(rows), alphas)[:, :, 0]
-        values = root[:, 0] - root[:, 1]
-        magnitudes = np.abs(values[done:]).tolist()
-        expectations = root[done:, 0].tolist()
-        for i, magnitude, expectation in zip(range(done, rows), magnitudes, expectations):
-            if len(best) < k:
-                heapq.heappush(best, magnitude)
-            elif magnitude > best[0]:
-                heapq.heapreplace(best, magnitude)
-            if len(best) == k > 0 and i + 1 < n:
-                bound = safety * alpha_value * expectation
-                if best[0] > bound:
-                    return values[: i + 1], i + 1, bound
-        done, rows = rows, min(n, 2 * rows)
-    return values, n, bound
+    root = _root_values(layout.plan(rows), np.array([float(alpha)]))[:, :, 0]
+    return root[:, 0] - root[:, 1], float(root[-1, 0])
 
 
 def prfe_values_tree_recompute(

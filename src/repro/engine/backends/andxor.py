@@ -35,14 +35,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ...andxor.ranking import prfe_topk_values_stacked, prfe_values_stacked
+from ...andxor.ranking import prfe_prefix_values, prfe_values_stacked
 from ...andxor.tree import AndXorTree
 from ...core.prf import LinearCombinationPRFe, PRFe, RankingFunction
-from ...core.result import RankingResult
 from ..cache import CachedTree
 from ..kernels import clamped_limit
-from ..topk import BOUND_SAFETY, TopKReport, certified, prunable, validated_k
-from .base import CorrelatedBackend, build_result
+from ..topk import BOUND_SAFETY
+from .base import CorrelatedBackend
 
 __all__ = ["AndXorBackend"]
 
@@ -81,62 +80,21 @@ class AndXorBackend(CorrelatedBackend):
     # ------------------------------------------------------------------
     # Ranking
     # ------------------------------------------------------------------
-    def rank_top_k(
-        self, tree: AndXorTree, rf: RankingFunction, k: int, name: str = "", store: bool = True
-    ) -> tuple[RankingResult, TopKReport]:
-        """Top ``k`` under ``rf``, evaluating growing row prefixes.
+    def _evaluated(self, entry: CachedTree, alpha: float) -> bool:
+        """Whether the full value vector of ``PRFe(alpha)`` is memoized."""
+        return ("prfe", complex(alpha)) in entry.extras
 
-        For prunable specs the stacked kernel runs on rows ``0 .. m - 1``
-        (``m = max(k, 64)``, then doubling) and stops at the first row
-        whose k-th best confirmed value beats ``alpha * F^i(alpha,
-        alpha)`` — the root value the kernel computes anyway, so the
-        bound is free.  A memoized *full* value vector, when present, is
-        served directly; an early-terminated prefix is memoized under
-        ``("topk", alpha)`` and promoted to the full memo when it runs to
-        the end, so pruned and full requests compose through the same
-        cache entry.
+    def _topk_prefix(
+        self, tree: AndXorTree, entry: CachedTree, alpha: float, m: int
+    ) -> tuple[np.ndarray, float]:
+        """The stacked walk's values over labelling rows ``0 .. m - 1``.
+
+        The bound ``alpha * F^{m-1}(alpha, alpha)`` is ``alpha *
+        E[alpha^{C_m}]``, read off the last row's root value, inflated by
+        :data:`~repro.engine.topk.BOUND_SAFETY`.
         """
-        k = validated_k(k)
-        entry = self.entry(tree, store=store)
-        tuples = tree.tuples()
-        label = name or tree.name
-        n = entry.n
-        if not prunable(rf) or k >= n:
-            result = build_result(tuples, entry, self._values(tree, entry, rf), label, k)
-            self.cache.enforce_budget()
-            return result, TopKReport(k=k, n=n, examined=n, pruned=False)
-        if k == 0:
-            return RankingResult([], name=label), TopKReport(
-                k=0, n=n, examined=0, pruned=n > 0
-            )
-        alpha = complex(rf.alpha)
-        full = entry.extras.get(("prfe", alpha))
-        if full is not None:
-            result = build_result(tuples, entry, full, label, k)
-            self.cache.enforce_budget()
-            return result, TopKReport(k=k, n=n, examined=n, pruned=False)
-        memo_key = ("topk", alpha)
-        memo = entry.extras.get(memo_key)
-        values = None
-        if memo is not None:
-            cached_values, cached_examined, cached_bound = memo
-            if cached_examined >= n or certified(
-                np.abs(cached_values), k, cached_bound
-            ):
-                values, examined = cached_values, cached_examined
-        if values is None:
-            values, examined, bound = prfe_topk_values_stacked(
-                entry.prfe_layout(tree), float(rf.alpha), k, safety=BOUND_SAFETY
-            )
-            if store and (memo is None or examined > memo[1]):
-                entry.extras[memo_key] = (values, examined, bound)
-            if store and examined == n:
-                # A prefix that ran to the end is the full value vector —
-                # promote it so future full rankings skip the walk.
-                entry.extras[("prfe", alpha)] = values
-        result = build_result(tuples, entry, values, label, k)
-        self.cache.enforce_budget()
-        return result, TopKReport(k=k, n=n, examined=examined, pruned=examined < n)
+        values, expectation = prfe_prefix_values(entry.prfe_layout(tree), alpha, m)
+        return values, BOUND_SAFETY * alpha * expectation
 
     def _values(self, tree: AndXorTree, entry: CachedTree, rf: RankingFunction) -> np.ndarray:
         return self._values_many(tree, entry, [rf])[0]

@@ -25,7 +25,8 @@ from ...core.prf import RankingFunction
 from ...core.result import ColumnarRankingResult, RankingResult, TupleRows
 from ...core.tuples import Tuple
 from ..kernels import clamped_limit
-from ..topk import TopKReport, ranked_result, ranking_order, validated_k
+from .. import topk
+from ..topk import TopKReport, certified, prunable, ranked_result, ranking_order, validated_k
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..facade import Engine
@@ -75,7 +76,7 @@ def build_result(
     values = np.asarray(values)
     m = values.shape[0]
     order = ranking_order(
-        values, entry.scores[:m], lambda: entry.tid_strings(rows)[:m], sort_keys
+        values, entry.scores[:m], lambda: entry.tid_strings(rows, limit=m), sort_keys
     )
     if not isinstance(rows, RelationColumns):
         rows = TupleRows(rows)
@@ -151,21 +152,85 @@ class RankingBackend(ABC):
     def rank_top_k(
         self, data, rf: RankingFunction, k: int, name: str = "", store: bool = True
     ) -> tuple[RankingResult, "TopKReport"]:
-        """Top ``k`` of the ranking, with early termination where supported.
+        """Top ``k`` of the ranking, early-terminated for prunable specs.
 
         Returns ``(result, report)``: the first ``k`` items of the full
         ranking (identical tuples, values and positions) and a
-        :class:`~repro.engine.topk.TopKReport` recording how much of the
-        dataset was examined.  This default ranks fully and truncates;
-        backends with a PRFe early-termination path override it and fall
-        back here whenever :func:`~repro.engine.topk.prunable` rejects
-        the spec or ``k`` covers the whole dataset.
+        :class:`~repro.engine.topk.TopKReport` whose ``examined`` counts
+        the rows whose values were computed.  The one top-k body of every
+        model.  A :func:`~repro.engine.topk.prunable` spec evaluates
+        score-sorted row prefixes through :meth:`_topk_prefix`: the least
+        power of two ``m >= max(4k, 64)`` rows, then four times as many,
+        until the k-th best key beats the bound on every later row
+        (:func:`~repro.engine.topk.certified`).  A prefix that would cover
+        every row runs the full path instead, which caches what that
+        model's later full rankings read.  The certified prefix is
+        memoized on the entry under ``("topk", alpha)`` and serves every
+        ``k`` it certifies.  Anything else -- a spec without the bound,
+        ``k >= n``, or a full evaluation already on the entry
+        (:meth:`_evaluated`) -- is the full ranking truncated to ``k``.
         """
         k = validated_k(k)
-        del store
-        result = self.rank(data, rf, name=name)
-        n = len(result)
-        return result[:k], TopKReport(k=k, n=n, examined=n, pruned=False)
+        label = name or data.name
+        entry = self.entry(data, store=store)
+        n = entry.n
+        if not prunable(rf) or k >= n or self._evaluated(entry, float(rf.alpha)):
+            return self._ranked_prefix(data, entry, rf, k, label), TopKReport(
+                k=k, n=n, examined=n, pruned=False
+            )
+        if k == 0:
+            return RankingResult([], name=label), TopKReport(k=0, n=n, examined=0, pruned=True)
+        alpha = float(rf.alpha)
+        key = ("topk", alpha)
+        memo = entry.extras.get(key)
+        if memo is not None and certified(memo[0], k, memo[1]):
+            keys, bound = memo
+        else:
+            # Powers of two: a tree's layout keeps one row plan per length.
+            m = 1 << (max(topk._GROWTH * k, topk._MIN_PREFIX) - 1).bit_length()
+            # The memoized prefix does not certify k, and no shorter one would.
+            while memo is not None and m <= memo[0].size:
+                m *= topk._GROWTH
+            while True:
+                if m >= n:
+                    result = self._ranked_prefix(data, entry, rf, k, label)
+                    return result, TopKReport(k=k, n=n, examined=n, pruned=False)
+                keys, bound = self._topk_prefix(data, entry, alpha, m)
+                if certified(keys, k, bound):
+                    break
+                m *= topk._GROWTH
+            if store:
+                entry.extras[key] = (keys, bound)
+        values, sort_keys = self._topk_values(keys)
+        result = build_result(self.rows(data), entry, values, label, k, sort_keys)
+        self.cache.enforce_budget()
+        return result, TopKReport(k=k, n=n, examined=keys.size, pruned=True)
+
+    def _ranked_prefix(self, data, entry, rf: RankingFunction, k: int, name: str) -> RankingResult:
+        """The full ranking's first ``k`` items, the fall-back of :meth:`rank_top_k`."""
+        return self.rank(data, rf, name=name)[:k]
+
+    def _evaluated(self, entry, alpha: float) -> bool:
+        """Whether ``entry`` already holds the full path's evaluation of ``PRFe(alpha)``."""
+        return False
+
+    @abstractmethod
+    def _topk_prefix(self, data, entry, alpha: float, m: int) -> tuple[np.ndarray, float]:
+        """Keys of the first ``m < n`` score-sorted rows under ``PRFe(alpha)``, and a bound.
+
+        Returns ``(keys, bound)``: one key per row, larger is better, from
+        which :meth:`_topk_values` gives the first ``m`` values of the full
+        path's evaluation bit for bit; and an upper bound on every later
+        row's key.
+        """
+
+    @staticmethod
+    def _topk_values(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(values, sort_keys)`` of :meth:`_topk_prefix` keys for :func:`build_result`.
+
+        By default the keys are the values themselves, ranked by magnitude.
+        """
+        return keys, None
 
     # -- derived queries ---------------------------------------------------
     @abstractmethod
@@ -212,6 +277,12 @@ class CorrelatedBackend(RankingBackend):
     @abstractmethod
     def _cold_distribution(self, data, entry, tid: Any, limit: int) -> np.ndarray:
         """One tuple's rank distribution over ranks ``1 .. limit``, uncached."""
+
+    def _ranked_prefix(self, data, entry, rf: RankingFunction, k: int, name: str) -> RankingResult:
+        """The full ranking's first ``k`` items, on the caller's ``entry``."""
+        result = build_result(self.rows(data), entry, self._values(data, entry, rf), name, k)
+        self.cache.enforce_budget()
+        return result
 
     def rank(self, data, rf: RankingFunction, name: str = "") -> RankingResult:
         """Rank one dataset: the single-spec case of :meth:`rank_many`."""

@@ -50,15 +50,7 @@ from ..kernels import (
     uses_log_space,
 )
 from ..parallel import row_parts, run_parts
-from ..topk import (
-    TopKReport,
-    certified,
-    independent_topk_log_values,
-    prunable,
-    ranked_result,
-    ranking_order,
-    validated_k,
-)
+from ..topk import independent_topk_log_values, ranking_order
 from .base import RankingBackend
 
 __all__ = ["IndependentBackend"]
@@ -85,32 +77,21 @@ def _ranking(
     values: np.ndarray,
     name: str,
     sort_keys: np.ndarray | None = None,
-    k: int | None = None,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RankingResult:
-    """The ranking of ``relation`` from values over a score-descending prefix.
+    """The lazy :class:`ColumnarRankingResult` of ``relation`` from all its values.
 
-    Without ``k`` the values cover the whole relation and the result is a
-    lazy :class:`ColumnarRankingResult`, whose position and value arrays
-    are ``out`` when given.  With ``k`` they cover an examined prefix, and
-    only the best ``k`` items are built; the early-termination bound
-    guarantees every unexamined tuple sorts strictly below the k-th
-    examined key, so these are the first ``k`` items of the full ranking.
+    Its position and value arrays are ``out`` when given.
     """
-    values = np.asarray(values)
-    m = values.shape[0]
     order = ranking_order(
-        values, entry.scores[:m], lambda: entry.tid_strings(relation, limit=m), sort_keys
+        values, entry.scores, lambda: entry.tid_strings(relation), sort_keys
     )
-    if k is None:
-        if out is None:
-            return ColumnarRankingResult(relation, entry.order[order], values[order], name=name)
-        # order holds valid positions; mode="raise" would buffer the output.
-        entry.order.take(order, out=out[0], mode="clip")
-        values.take(order, out=out[1], mode="clip")
-        return ColumnarRankingResult(relation, out[0], out[1], name=name)
-    order = order[:k]
-    return ranked_result(relation.tuples_at(entry.order[order]), values[order], name)
+    if out is None:
+        return ColumnarRankingResult(relation, entry.order[order], values[order], name=name)
+    # order holds valid positions; mode="raise" would buffer the output.
+    entry.order.take(order, out=out[0], mode="clip")
+    values.take(order, out=out[1], mode="clip")
+    return ColumnarRankingResult(relation, out[0], out[1], name=name)
 
 
 def _prfe_rankings(
@@ -225,58 +206,20 @@ class IndependentBackend(RankingBackend):
         self.cache.enforce_budget()
         return _ranking(relation, entry, values[0], label)
 
-    # ------------------------------------------------------------------
-    # Top-k with early termination
-    # ------------------------------------------------------------------
-    def rank_top_k(
-        self,
-        relation: RelationColumns,
-        rf: RankingFunction,
-        k: int,
-        name: str = "",
-        store: bool = True,
-    ) -> tuple[RankingResult, TopKReport]:
-        """Top ``k`` under ``rf``, early-terminating the log-space PRFe kernel.
+    def _topk_prefix(
+        self, relation: RelationColumns, entry: CachedRelation, alpha: float, m: int
+    ) -> tuple[np.ndarray, float]:
+        """Log-values of the first ``m`` tuples and the bound on the rest.
 
-        For prunable specs the streaming kernel of
-        :func:`~repro.engine.topk.independent_topk_log_values` examines a
-        geometrically growing score-sorted prefix and stops at the
-        geometric-decay bound; the returned items equal the first ``k``
-        of the full ranking bit for bit (values included — the examined
-        prefix reproduces the full kernel's arithmetic exactly).  The
-        examined log-values are memoized on the cache entry under
-        ``("topk", alpha)``, so repeated top-k requests (equal or
-        smaller ``k``, or any ``k`` the prefix still certifies) skip the
-        kernel entirely.
+        The log-space kernel over the first ``m`` probabilities
+        (:func:`~repro.engine.topk.independent_topk_log_values`).
         """
-        k = validated_k(k)
-        n = len(relation)
-        label = name or relation.name
-        if not prunable(rf) or k >= n:
-            return super().rank_top_k(relation, rf, k, name=label, store=store)
-        entry = self.entry(relation, store=store)
-        if k == 0:
-            return RankingResult([], name=label), TopKReport(
-                k=0, n=n, examined=0, pruned=n > 0
-            )
-        alpha = float(rf.alpha)
-        key = ("topk", alpha)
-        memo = entry.extras.get(key)
-        log_values = None
-        if memo is not None:
-            cached_values, cached_examined, cached_bound = memo
-            if cached_examined >= n or certified(cached_values, k, cached_bound):
-                log_values, examined, bound = cached_values, cached_examined, cached_bound
-        if log_values is None:
-            log_values, examined, bound = independent_topk_log_values(
-                entry.probabilities, alpha, k
-            )
-            if store and (memo is None or examined > memo[1]):
-                entry.extras[key] = (log_values, examined, bound)
-        values = exp_log_values(log_values)
-        result = _ranking(relation, entry, values, label, log_values, k=k)
-        self.cache.enforce_budget()
-        return result, TopKReport(k=k, n=n, examined=examined, pruned=examined < n)
+        return independent_topk_log_values(entry.probabilities, alpha, m)
+
+    @staticmethod
+    def _topk_values(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The values of log-value keys, which the ranking sorts by."""
+        return exp_log_values(keys), keys
 
     # ------------------------------------------------------------------
     # Many relations, one ranking function

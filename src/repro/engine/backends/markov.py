@@ -5,7 +5,7 @@ running, per tuple, a partial-sum dynamic program over the junction
 tree calibrated on ``X_t = 1``.  The positional matrix runs it for every
 tuple at once: one calibration and one DP walk over tables with a
 leading row axis, one row per tuple (see
-:func:`~repro.graphical.ranking.positional_probabilities_markov`).
+:func:`~repro.graphical.ranking.positional_rows`).
 Everything that does not depend on the tuple is derived once per
 junction tree (see :class:`~repro.graphical.junction_tree.JunctionTree`):
 components, home cliques, potentials, the message schedule and the DP's
@@ -21,29 +21,52 @@ entry:
 
 The cache entry refers to no network: content-equal networks share it,
 every evaluator runs on the caller's network, and results carry the
-caller's tuples.  Every spec's values are one ``matrix @ weights`` pass
-over the positional matrix
-(:meth:`~repro.core.prf.RankingFunction.evaluate_positional`), and
+caller's tuples.  Every spec's values are one weighted sum per row of
+the positional matrix (:func:`_row_values`), and
 :func:`~repro.graphical.ranking.rank_markov_network` is an engine call.
+A top-k query (:meth:`~repro.engine.backends.base.RankingBackend.rank_top_k`)
+evaluates the matrix's first ``m`` rows the same way, so its values are
+the full ranking's bit for bit, and bounds the rest with one
+evidence-free prefix-count DP over the first ``m`` tuples.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
+from typing import Sequence
 
 import numpy as np
 
-from ...core.prf import RankingFunction
-from ...core.result import RankingResult
+from ...core.prf import PRFe, RankingFunction
+from ...core.tuples import Tuple
 from ...graphical.model import MarkovNetworkRelation
-from ...graphical.ranking import prefix_count_distribution, rank_distribution_markov
+from ...graphical.ranking import (
+    positional_rows,
+    prefix_count_distribution,
+    rank_distribution_markov,
+)
 from ..cache import CachedNetwork
-from ..kernels import clamped_limit
-from ..topk import BOUND_SAFETY, TopKReport, certified, prunable, validated_k
-from .base import CorrelatedBackend, build_result
+from ..kernels import clamped_limit, row_sums
+from ..topk import BOUND_SAFETY
+from .base import CorrelatedBackend
 
 __all__ = ["MarkovBackend"]
+
+
+def _row_values(rf: RankingFunction, ordered: Sequence[Tuple], rows: np.ndarray) -> np.ndarray:
+    """``rf``'s values of positional-matrix ``rows`` over ``ordered``'s first tuples.
+
+    :meth:`~repro.core.prf.RankingFunction.evaluate_positional` with
+    :func:`~repro.engine.kernels.row_sums` in place of its BLAS product,
+    so a row's value does not depend on how many rows are evaluated with
+    it: a top-k row prefix gets the full matrix's values.  A BLAS
+    matrix-vector product splits its rows between threads at a point that
+    depends on the height (OpenBLAS 0.3.31, 2 threads: 2 of the first
+    768 rows of a 1500-row product differ in the last place).
+    """
+    dtype = float if rf.is_real() else complex
+    weights = rf.weight.as_array(rows.shape[1])[1:].astype(dtype)
+    factors = np.array([rf.factor(t) for t in ordered[: len(rows)]], dtype=float)
+    return row_sums(rows[None].astype(dtype, copy=False), weights)[0] * factors
 
 
 class MarkovBackend(CorrelatedBackend):
@@ -67,108 +90,36 @@ class MarkovBackend(CorrelatedBackend):
     # ------------------------------------------------------------------
     # Ranking
     # ------------------------------------------------------------------
-    def rank_top_k(
-        self,
-        model: MarkovNetworkRelation,
-        rf: RankingFunction,
-        k: int,
-        name: str = "",
-        store: bool = True,
-    ) -> tuple[RankingResult, TopKReport]:
-        """Top ``k`` under ``rf``, early-terminating the junction-tree DP.
-
-        For prunable specs the backend runs one one-row rank-distribution
-        DP per score-sorted tuple plus one evidence-free prefix-count DP
-        for the geometric-decay bound (:func:`~repro.graphical.ranking.
-        prefix_count_distribution`), stopping once the k-th best
-        confirmed value beats ``alpha * E[alpha^count]`` — about two
-        one-row passes per *examined* tuple against one ``n``-row
-        stacked pass for the full positional matrix.  A cached wide positional matrix short-cuts to
-        the full (already-paid-for) evaluation; an early-terminated
-        prefix is memoized under ``("topk", alpha)``.  The returned
-        *set* of tuples equals the full ranking's top ``k``; values may
-        differ in the last ulp (the full path evaluates all rows in one
-        matrix product, the pruned path row by row).
-        """
-        k = validated_k(k)
-        entry = self.entry(model, store=store)
-        tuples = model.tuples
-        label = name or model.name
-        n = entry.n
-        limit = clamped_limit(n, rf.weight.horizon)
-        positional = entry.positional
-        matrix_cached = positional is not None and positional.shape[1] >= limit
-        if not prunable(rf) or k >= n or matrix_cached:
-            result = build_result(tuples, entry, self._values(model, entry, rf), label, k)
-            self.cache.enforce_budget()
-            return result, TopKReport(k=k, n=n, examined=n, pruned=False)
-        if k == 0:
-            return RankingResult([], name=label), TopKReport(
-                k=0, n=n, examined=0, pruned=n > 0
-            )
-        alpha = float(rf.alpha)
-        memo_key = ("topk", alpha)
-        memo = entry.extras.get(memo_key)
-        if memo is not None:
-            cached_values, cached_examined, cached_bound = memo
-            if cached_examined >= n or certified(
-                np.abs(cached_values), k, cached_bound
-            ):
-                result = build_result(tuples, entry, cached_values, label, k)
-                return result, TopKReport(
-                    k=k, n=n, examined=cached_examined, pruned=cached_examined < n
-                )
-        values, examined, bound = self._streamed_topk_values(model, entry, rf, k)
-        if store and (memo is None or examined > memo[1]):
-            entry.extras[memo_key] = (values, examined, bound)
-        result = build_result(tuples, entry, values, label, k)
-        self.cache.enforce_budget()
-        return result, TopKReport(k=k, n=n, examined=examined, pruned=examined < n)
-
-    def _streamed_topk_values(
-        self, model: MarkovNetworkRelation, entry: CachedNetwork, rf: RankingFunction, k: int
-    ) -> tuple[np.ndarray, int, float]:
-        """Score-order streamed PRFe values until the decay bound certifies ``k``."""
-        n = entry.n
-        limit = clamped_limit(n, rf.weight.horizon)
-        alpha = float(rf.alpha)
-        tree = entry.junction
-        base = entry.calibrated()
-        weights = rf.weight.as_array(limit)[1:].astype(float)
-        ordered = entry.sorted_tuples(model.tuples)
-        values = np.zeros(n, dtype=float)
-        best: list[float] = []
-        examined = 0
-        bound = math.inf
-        for i, t in enumerate(ordered):
-            row = rank_distribution_markov(
-                model, t.tid, max_rank=limit, tree=tree, base=base
-            )[1:]
-            values[i] = float(row @ weights)
-            examined = i + 1
-            magnitude = abs(values[i])
-            if len(best) < k:
-                heapq.heappush(best, magnitude)
-            elif magnitude > best[0]:
-                heapq.heapreplace(best, magnitude)
-            if len(best) == k and examined < n:
-                counts = prefix_count_distribution(
-                    model,
-                    [u.tid for u in ordered[:examined]],
-                    tree=tree,
-                    base=base,
-                )
-                decay = alpha ** np.arange(counts.size, dtype=float)
-                bound = BOUND_SAFETY * alpha * float(counts @ decay)
-                if best[0] > bound:
-                    break
-        return values[:examined], examined, bound
-
     def _values(
         self, model: MarkovNetworkRelation, entry: CachedNetwork, rf: RankingFunction
     ) -> np.ndarray:
         matrix = entry.positional_matrix(model, clamped_limit(entry.n, rf.weight.horizon))
-        return rf.evaluate_positional(entry.sorted_tuples(model.tuples), matrix)
+        return _row_values(rf, entry.sorted_tuples(model.tuples), matrix)
+
+    def _evaluated(self, entry: CachedNetwork, alpha: float) -> bool:
+        """Whether the cached positional matrix is as wide as PRFe reads."""
+        positional = entry.positional
+        return positional is not None and positional.shape[1] >= entry.n
+
+    def _topk_prefix(
+        self, model: MarkovNetworkRelation, entry: CachedNetwork, alpha: float, m: int
+    ) -> tuple[np.ndarray, float]:
+        """Values of the first ``m`` rows of the positional matrix, at its full width.
+
+        The bound is ``alpha * E[alpha^{C_m}]`` from one evidence-free
+        prefix-count dynamic program over the first ``m`` tuples
+        (:func:`~repro.graphical.ranking.prefix_count_distribution`),
+        inflated by :data:`~repro.engine.topk.BOUND_SAFETY`.
+        """
+        tree, base = entry.junction, entry.calibrated()
+        ordered = entry.sorted_tuples(model.tuples)
+        rows = positional_rows(tree, base, ordered, m, entry.n)
+        values = _row_values(PRFe(alpha), ordered, rows)
+        counts = prefix_count_distribution(
+            model, [t.tid for t in ordered[:m]], tree=tree, base=base
+        )
+        expectation = float(counts @ alpha ** np.arange(counts.size, dtype=float))
+        return values, BOUND_SAFETY * alpha * expectation
 
     # ------------------------------------------------------------------
     # Derived queries

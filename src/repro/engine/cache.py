@@ -417,13 +417,13 @@ class _CorrelatedEntry(ABC):
         """The caller's ``tuples`` in score-descending order."""
         return [tuples[i] for i in self.order.tolist()]
 
-    def tid_strings(self, tuples: Sequence[Tuple]) -> np.ndarray:
-        """``str(tid)`` in score-descending order, built from the caller's tuples once."""
+    def tid_strings(self, tuples: Sequence[Tuple], limit: int | None = None) -> np.ndarray:
+        """``str(tid)`` in score-descending order (the first ``limit``), built once."""
         tids = self.extras.get("sort_tids")
         if tids is None:
             tids = np.array([str(t.tid) for t in self.sorted_tuples(tuples)])
             self.extras["sort_tids"] = tids
-        return tids
+        return tids[:limit]
 
     def positional_matrix(self, data, limit: int) -> np.ndarray:
         """``Pr(r(t_i) = j)`` for ``j = 1 .. limit``, computed on the caller's ``data``.

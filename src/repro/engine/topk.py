@@ -17,19 +17,30 @@ all outscore ``t_j``), hence for ``alpha <= 1``::
     Upsilon^e(t_j) = E[alpha^{1 + D_j} * 1{t_j present}]
                   <= alpha * E[alpha^{C_i}]
 
-Each backend computes ``E[alpha^{C_i}]`` from the intermediate it
-already maintains:
+One loop, :meth:`~repro.engine.backends.base.RankingBackend.rank_top_k`,
+runs every model's top-k query.  It evaluates the first ``m``
+score-sorted rows, ``m`` the least power of two ``>= max(4k, 64)``,
+then four times as many, until the k-th best key beats the bound
+(:func:`certified`); a prefix that would cover every row runs the full
+path instead.  Each backend's ``_topk_prefix`` hook supplies the rows'
+keys and the bound, from the computation its full path runs:
 
-* independent relations — the running log prefix sum
-  ``sum_{l < i} log(1 - p_l + p_l alpha)`` of the closed-form kernel;
-* and/xor trees — the root value ``F^i(alpha, alpha)`` that the stacked
-  Algorithm 3 walk computes for every row anyway;
-* Markov networks — an evidence-free junction-tree count-distribution
-  dynamic program over the prefix.
+* independent relations — the closed-form kernel over the first ``m``
+  probabilities, whose log prefix sum ``sum_{l < m} log(1 - p_l + p_l
+  alpha)`` is the bound (:func:`independent_topk_log_values`);
+* and/xor trees — the stacked Algorithm 3 walk over labelling rows ``0
+  .. m - 1``, whose last root value ``F^{m-1}(alpha, alpha)`` is the
+  expectation;
+* Markov networks — rows ``0 .. m - 1`` of the positional matrix, and
+  one evidence-free junction-tree count-distribution dynamic program
+  over the first ``m`` tuples.
 
-Pruning is *skipped* (full evaluation, result truncated) whenever the
-bound cannot apply: non-``PRFe`` specs, complex or ``alpha >= 1``
-specs (no decay), ``k >= n``, or specs carrying a ``tuple_factor``.
+Each row's value is the full path's bit for bit, so a top-k answer is
+the head of the full ranking, values included.  Pruning is *skipped*
+(full evaluation, result truncated) whenever the bound cannot apply:
+non-``PRFe`` specs, complex or ``alpha >= 1`` specs (no decay), ``k >=
+n``, or specs carrying a ``tuple_factor``; and when the full evaluation
+is already cached.
 
 Floating-point rigor: on the independent log-space path the computed
 log-values of unexamined tuples are *provably* bounded by the computed
@@ -54,7 +65,7 @@ import numpy as np
 from ..core.prf import RankingFunction
 from ..core.result import RankedItem, RankingResult
 from ..core.tuples import Tuple
-from .kernels import batched_prfe_log_values, uses_log_space
+from .kernels import _LOG_EPS, uses_log_space
 
 __all__ = [
     "BOUND_SAFETY",
@@ -73,18 +84,18 @@ __all__ = [
 #: products, junction-tree convolutions) carries rounding whose sign is
 #: not controlled, unlike the independent log-space path; inflating the
 #: bound by a few hundred ulps makes an early stop conservative at the
-#: cost of examining at most a handful of extra tuples.
+#: cost of, rarely, one more prefix growth.
 BOUND_SAFETY = 1.0 + 1e-9
 
-#: Smallest prefix the independent streaming kernel materializes; below
-#: this the vectorized kernel's fixed overhead dominates any saving.
+#: Fewest rows a top-k prefix evaluates; below this a kernel call's fixed
+#: overhead dominates any saving.
 _MIN_PREFIX = 64
 
-#: Geometric growth factor between streaming kernel attempts.  Each
-#: attempt recomputes the kernel from scratch over the whole examined
-#: prefix (a carried cumulative-sum offset would break bit-identity with
-#: the full kernel, float addition not being associative), so the total
-#: work stays within a small constant factor of the final prefix.
+#: Growth factor between top-k prefix attempts.  Each attempt recomputes
+#: its whole prefix (a carried cumulative-sum offset would break
+#: bit-identity with the full kernel, float addition not being
+#: associative), so the total work stays within a small constant factor
+#: of the final prefix.
 _GROWTH = 4
 
 
@@ -260,53 +271,34 @@ def ranked_result(items: Sequence[Tuple], values: np.ndarray, name: str) -> Rank
 
 
 def independent_topk_log_values(
-    probabilities: np.ndarray, alpha: float, k: int
-) -> tuple[np.ndarray, int, float]:
-    """Early-terminated log-space PRFe kernel over one independent relation.
+    probabilities: np.ndarray, alpha: float, m: int
+) -> tuple[np.ndarray, float]:
+    """Log-space PRFe values of the first ``m`` tuples, and the bound on the rest.
 
-    Streams the closed-form kernel of
-    :func:`repro.engine.kernels.batched_prfe_log_values` down the
-    score-descending probability vector in geometrically growing
-    prefixes, stopping once the k-th best confirmed log-value strictly
-    dominates ``cumulative[-1] + log(alpha)`` — an upper bound on every
-    unexamined tuple's log-value that holds for the *computed* values
-    too (see the module docstring), so the examined prefix provably
-    contains the exact top-k set of the full kernel.
-
-    Parameters
-    ----------
-    probabilities:
-        Existence probabilities in score-descending order.
-    alpha:
-        Real PRFe decay in ``(0, 1)`` (callers gate on :func:`prunable`).
-    k:
-        Requested cutoff, ``1 <= k`` (``k >= n`` degrades to one full
-        pass).
-
-    Returns
-    -------
-    tuple
-        ``(log_values, examined, bound)`` — the kernel's log-values over
-        the examined prefix (bit-identical to the same slice of the full
-        kernel), the prefix length, and the log-space bound on every
-        unexamined tuple (``-inf`` when nothing remains unexamined is
-        *not* guaranteed; when ``examined == n`` the bound is unused).
+    The arithmetic of :func:`repro.engine.kernels.batched_prfe_log_values`
+    over the row ``p[0], ..., p[m - 1], 1``, without its copy or its input
+    checks (``probabilities`` is a cache entry's validated score-descending
+    column, ``alpha`` a :func:`prunable` decay): entry ``i < m`` is the
+    full kernel's log-value of tuple ``i`` bit for bit, and entry ``m`` is
+    the prefix sum of all ``m`` log-factors, plus ``log 1 = 0``, plus
+    ``log alpha`` -- the bound on every later tuple's log-value.  Returns
+    ``(log_values, bound)``.
     """
-    probabilities = np.asarray(probabilities, dtype=float)
-    n = int(probabilities.size)
-    if n == 0:
-        return np.zeros(0, dtype=float), 0, -math.inf
-    m = n if k >= n else min(n, max(_GROWTH * k, _MIN_PREFIX))
-    while True:
-        # One appended p = 1 row: its log-value is the prefix sum of all m
-        # log-factors, plus log 1 = 0, plus log alpha, which is the bound.
-        # The other rows are the full kernel's, bit for bit.
-        row = np.append(probabilities[:m], 1.0)
-        log_values = batched_prfe_log_values(row[None, :], float(alpha))[0]
-        log_values, bound = log_values[:m], log_values[m]
-        if m == n or certified(log_values, k, bound):
-            return log_values, m, bound
-        m = min(n, _GROWTH * m)
+    p = probabilities[:m]
+    log_values = np.empty(m + 1)
+    # Row i's prefix is the sum of the log-factors of tuples 0 .. i-1: they
+    # are written one slot to the right and summed in place.
+    factors = log_values[1:]
+    np.multiply(p, alpha, out=factors)
+    factors += 1.0 - p
+    np.log(np.maximum(factors, _LOG_EPS, out=factors), out=factors)
+    np.cumsum(factors, out=factors)
+    log_values[0] = 0.0
+    log_probabilities = np.log(np.maximum(p, _LOG_EPS))
+    log_probabilities[~(p > 0.0)] = -math.inf
+    log_values[:m] += log_probabilities
+    log_values += math.log(max(alpha, _LOG_EPS))
+    return log_values[:m], float(log_values[m])
 
 
 def certified(keys: np.ndarray, k: int, bound: float) -> bool:

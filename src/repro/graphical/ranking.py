@@ -25,8 +25,10 @@ per-component post-order runs the dynamic program for all rows, each
 row counting the tuples ranked above its own.  Rows are zero-padded to
 a common distribution length; every padded term is an exact ``0.0``,
 so each row is bit-identical to a one-row run.  The positional matrix
-is built in row chunks bounded by ``_STACK_ELEMENTS``; single-tuple
-lookups and the top-k prefix bound run the same program with one row.
+is built in row chunks bounded by ``_STACK_ELEMENTS``
+(:func:`positional_rows`, which also builds the engine's top-k row
+prefixes); single-tuple lookups and the top-k prefix bound run the same
+program with one row.
 The junction tree is cached on the model by :func:`junction_tree_for`.
 """
 
@@ -48,6 +50,7 @@ __all__ = [
     "rank_distribution_markov",
     "prefix_count_distribution",
     "positional_probabilities_markov",
+    "positional_rows",
     "rank_markov_network",
 ]
 
@@ -315,26 +318,41 @@ def positional_probabilities_markov(
 ) -> tuple[list[Tuple], np.ndarray]:
     """Positional probabilities of every tuple of a Markov-network relation.
 
-    One stacked calibration and dynamic program per chunk of rows (row
-    ``i`` conditions on the ``i``-th best tuple and counts the ``i``
-    before it), with at most ``_STACK_ELEMENTS`` elements per chunk.  The
-    evidence-free calibration behind every ``Pr(X_t = 1)`` lookup is
-    shared across the tuples (or supplied by the engine's cache via
-    ``base``).
+    Every row of :func:`positional_rows`.  The evidence-free calibration
+    behind every ``Pr(X_t = 1)`` lookup is shared across the tuples (or
+    supplied by the engine's cache via ``base``).
     """
     ordered = model.sorted_tuples()
-    n = len(ordered)
-    limit = clamped_limit(n, max_rank)
-    matrix = np.zeros((n, limit), dtype=float)
     tree = tree or junction_tree_for(model)
-    base = base or tree.calibrate()
-    step = max(1, _STACK_ELEMENTS // _row_elements(tree, n))
-    for start in range(0, n, step):
-        stop = min(start + step, n)
+    limit = clamped_limit(len(ordered), max_rank)
+    return ordered, positional_rows(tree, base or tree.calibrate(), ordered, len(ordered), limit)
+
+
+def positional_rows(
+    tree: JunctionTree,
+    base: CalibratedTree,
+    ordered: Sequence[Tuple],
+    rows: int,
+    limit: int,
+) -> np.ndarray:
+    """Rows ``0 .. rows - 1`` of the positional matrix over ``ordered``.
+
+    ``ordered`` is the network's score-descending tuple sequence and
+    ``base`` the evidence-free calibration of ``tree``.  Row ``i``
+    conditions on the ``i``-th best tuple and counts the ``i`` before it.
+    One stacked calibration and dynamic program runs per chunk of rows,
+    with at most ``_STACK_ELEMENTS`` elements per chunk.  Rows never mix,
+    so a row prefix (the engine's top-k path) is the full matrix's first
+    rows bit for bit.
+    """
+    matrix = np.zeros((rows, limit), dtype=float)
+    step = max(1, _STACK_ELEMENTS // _row_elements(tree, len(ordered)))
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
         counted = _counted_before(tree, ordered, np.arange(start, stop))
         tids = [t.tid for t in ordered[start:stop]]
         matrix[start:stop] = _rank_rows(tree, base, tids, counted, limit)
-    return ordered, matrix
+    return matrix
 
 
 def rank_markov_network(

@@ -189,9 +189,10 @@ class TestAndXorBackendEquivalence:
         # Every path returning tuples, for trees and networks, hands back
         # the caller's own objects, and a cache entry keeps no dataset
         # alive: the twin that built it can be freed while it serves others.
+        # Past the 64-row first prefix, so the top-k request prunes.
         makers = [
-            lambda: generate_random_tree(30, TreeShape(3, 3, 1.0), rng=11),
-            lambda: random_network(np.random.default_rng(7), n=12),
+            lambda: generate_random_tree(150, TreeShape(3, 3, 1.0), rng=11),
+            lambda: random_network(np.random.default_rng(7), n=100),
         ]
         for make in makers:
             engine = Engine()

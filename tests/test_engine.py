@@ -350,7 +350,7 @@ class TestCache:
             ),
             "andxor": lambda: syn_xor(300, rng),
             "markov": lambda: MarkovChainRelation.homogeneous(
-                [Tuple(f"m{i}", float(s), 1.0) for i, s in enumerate(rng.permutation(90)[:30])],
+                [Tuple(f"m{i}", float(s), 1.0) for i, s in enumerate(rng.permutation(300)[:100])],
                 0.6, 0.7, 0.8,
             ).to_markov_network(),
         }[model]()

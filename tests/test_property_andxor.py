@@ -19,6 +19,7 @@ from repro.core.possible_worlds import prf_by_enumeration, rank_distribution_by_
 from repro.core.result import ColumnarRankingResult
 from repro.core.weights import NDCGDiscountWeight, StepWeight
 from repro.datasets import syn_high, syn_low, syn_med, syn_xor
+from repro.engine import topk
 from tests.conftest import assert_lazy_equals_eager, eager_ranking, ranked_item
 
 
@@ -296,19 +297,20 @@ def test_every_path_returns_the_same_bits(tree, alpha, other, k):
 def test_topk_prefix_chunks_change_no_bit(tree, alpha, k):
     _, full = prfe_values_tree(tree, alpha)
     reference = rank_tree(tree, PRFe(alpha))
-    _, first_certifying, _ = ranking.prfe_topk_values_stacked(ranking.PRFeLayout(tree), alpha, k)
-    for rows in (1, 2):
-        with mock.patch.object(ranking, "_TOPK_MIN_ROWS", rows):
-            layout = ranking.PRFeLayout(tree)
-            values, examined, bound = ranking.prfe_topk_values_stacked(layout, alpha, k)
-            assert examined == first_certifying
-            assert np.array_equal(values, full[:examined])
-            if examined < len(tree):
-                # Every unexamined leaf is below the certified bound.
-                assert np.all(np.abs(full[examined:]) <= bound)
+    layout = ranking.PRFeLayout(tree)
+    for rows in range(1, len(tree) + 1):
+        values, expectation = ranking.prfe_prefix_values(layout, alpha, rows)
+        assert np.array_equal(values, full[:rows])
+        # Every later leaf is below the bound.
+        assert np.all(np.abs(full[rows:]) <= topk.BOUND_SAFETY * alpha * expectation)
+    # First prefixes from 4k rows (not 64), so these small trees prune.
+    for first in (1, 2):
+        with mock.patch.object(topk, "_MIN_PREFIX", first):
             top, report = Engine().rank_top_k(tree, PRFe(alpha), k)
-            assert report.examined == examined
-            assert _pairs(top) == _pairs(reference)[:k]
+        assert _pairs(top) == _pairs(reference)[:k]
+        # Powers of two from 4k on, or one full pass.
+        examined = report.examined
+        assert examined == len(tree) or (examined >= 4 * k and examined & (examined - 1) == 0)
 
 
 # ---------------------------------------------------------------------------

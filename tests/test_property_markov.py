@@ -21,6 +21,7 @@ from repro import Engine, PRFe, PRFOmega, Tuple
 from repro.core.possible_worlds import rank_distribution_by_enumeration
 from repro.core.result import ColumnarRankingResult
 from repro.core.weights import StepWeight
+from repro.engine import topk
 from repro.graphical import (
     Factor,
     MarkovNetworkRelation,
@@ -101,13 +102,16 @@ def test_every_path_is_bit_identical(network, alpha, horizon):
 
 @settings(max_examples=60, deadline=None)
 @given(small_networks(), st.floats(min_value=0.05, max_value=0.99), st.integers(1, 8))
-def test_top_k_returns_the_full_rankings_top_k_set(network, alpha, k):
+def test_top_k_returns_the_full_rankings_prefix(network, alpha, k):
     k = min(k, len(network))
     full = Engine().rank(network, PRFe(alpha))
-    # A fresh engine: a cached positional matrix would short-cut pruning.
-    pruned, report = Engine().rank_top_k(network, PRFe(alpha), k)
-    assert {item.tid for item in pruned} == {item.tid for item in full[:k]}
-    assert report.k == k and report.examined <= len(network)
+    # Fresh engines: a cached positional matrix would short-cut pruning.
+    # First prefixes from 4k rows (not 64) reach pruning at these sizes.
+    for first in (topk._MIN_PREFIX, 1):
+        with mock.patch.object(topk, "_MIN_PREFIX", first):
+            pruned, report = Engine().rank_top_k(network, PRFe(alpha), k)
+        assert _items(pruned) == _items(full)[:k]
+        assert report.k == k and report.examined <= len(network)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,14 +3,13 @@
 The central contract: for every correlation model and every PRF-family
 member, ``Engine.rank_top_k(data, rf, k)`` returns exactly the first
 ``k`` items of ``Engine.rank(data, rf)`` — same identifiers, same
-positions, and (on independent relations and and/xor trees) bit-identical
-values — while the prunable specs (PRFe, real ``alpha < 1``) may examine
-only a prefix of the score-sorted tuples.  Randomized fixed-seed sweeps
-exercise the boundary between examined and pruned tuples; edge cases pin
-``k = 0``, ``k = 1``, ``k >= n``, ties at the k-th value, zero
-probabilities and empty datasets.  The service-tier tests cover the
-``top_k`` request type end to end (coalescing, caching keyed per ``k``,
-the TCP op).
+positions and bit-identical values — while the prunable specs (PRFe,
+real ``alpha < 1``) may examine only a prefix of the score-sorted
+tuples.  Randomized fixed-seed sweeps exercise the boundary between
+examined and pruned tuples; edge cases pin ``k = 0``, ``k = 1``,
+``k >= n``, ties at the k-th value, zero probabilities and empty
+datasets.  The service-tier tests cover the ``top_k`` request type end
+to end (coalescing, caching keyed per ``k``, the TCP op).
 """
 
 from __future__ import annotations
@@ -32,12 +31,14 @@ from repro import (
     Tuple,
 )
 from repro.algorithms.independent import rank_independent
-from repro.andxor.ranking import PRFeLayout, prfe_topk_values_stacked, prfe_values_tree
+from repro.andxor.ranking import PRFeLayout, prfe_prefix_values, prfe_values_tree
 from repro.andxor.tree import AndXorTree
 from repro.core.weights import NDCGDiscountWeight, StepWeight
+from repro.datasets import syn_xor
 from repro.engine import TopKReport, prunable
 from repro.core.result import RankingResult
 from repro.engine.topk import (
+    BOUND_SAFETY,
     certified,
     independent_topk_log_values,
     magnitudes,
@@ -94,13 +95,12 @@ def make_network(seed: int, n: int = 10):
     return chain.to_markov_network()
 
 
-def assert_prefix(pruned, full, k: int, bitwise_values: bool = True) -> None:
-    """``pruned`` must be exactly the first ``k`` items of ``full``."""
+def assert_prefix(pruned, full, k: int) -> None:
+    """``pruned`` must be exactly the first ``k`` items of ``full``, values bit for bit."""
     want = full[:k]
     assert [item.tid for item in pruned] == [item.tid for item in want]
     assert [item.position for item in pruned] == [item.position for item in want]
-    if bitwise_values:
-        assert [item.value for item in pruned] == [item.value for item in want]
+    assert [item.value for item in pruned] == [item.value for item in want]
 
 
 FAMILY = [
@@ -149,10 +149,7 @@ class TestPrefixEquality:
         # Fresh engine: a cached positional matrix would (by design)
         # short-circuit the pruned path.
         pruned, report = Engine().rank_top_k(network, rf, k)
-        # The streamed Markov path recomputes per-row products, so the
-        # prefix *set* is exact but the last ulp of a value may differ
-        # from the full matrix product.
-        assert_prefix(pruned, full, k, bitwise_values=False)
+        assert_prefix(pruned, full, k)
         assert report.k == k
 
     def test_randomized_sweep_independent(self):
@@ -189,7 +186,7 @@ class TestPrefixEquality:
             k = rng.randint(1, n)
             full = Engine().rank(network, PRFe(alpha))
             pruned, _ = Engine().rank_top_k(network, PRFe(alpha), k)
-            assert_prefix(pruned, full, k, bitwise_values=False)
+            assert_prefix(pruned, full, k)
 
     def test_pruning_engages_on_large_relations(self):
         relation = make_relation(1000, seed=37)
@@ -198,6 +195,44 @@ class TestPrefixEquality:
         assert 0.0 < report.fraction_examined < 1.0
         full = Engine().rank(relation, PRFe(0.8))
         assert_prefix(pruned, full, 10)
+
+
+#: Datasets of every model at sizes either side of the first two prefix
+#: lengths (64 rows, then 256).
+MODEL_SIZES = [
+    pytest.param(make, n, id=f"{label}-{n}")
+    for label, make in [
+        ("independent", lambda n: make_relation(n, seed=n)),
+        ("andxor", lambda n: syn_xor(n, rng=n)),
+        ("markov", lambda n: make_network(seed=n, n=n)),
+    ]
+    for n in (63, 65, 255, 257)
+]
+
+
+@pytest.mark.parametrize("make, n", MODEL_SIZES)
+def test_repeated_top_k_on_one_engine_is_the_full_prefix(make, n):
+    """``k`` rising and falling on one engine: the memo is served, grown and promoted."""
+    data = make(n)
+    rf = PRFe(0.8)
+    full = Engine().rank(data, rf)
+    assert len(full) == n
+    engine = Engine()
+    examined = []
+    for k in (3, 10, 1, 40, 17, 64, 5, n - 1, 2):
+        pruned, report = engine.rank_top_k(data, rf, k)
+        assert_prefix(pruned, full, k)
+        assert report.pruned == (report.examined < n)
+        examined.append(report.examined)
+    # These seeds prune at 64 rows and, past 256, grow to 256.
+    assert n <= 64 or examined[0] == 64
+    assert n <= 256 or 256 in examined
+    # k = n - 1 runs the full path; on trees and networks the full
+    # evaluation it caches serves the next request.
+    assert examined[-2] == n
+    if not isinstance(data, ProbabilisticRelation):
+        assert examined[-1] == n
+    assert_prefix(engine.rank(data, rf), full, n)
 
 
 # ---------------------------------------------------------------------------
@@ -335,20 +370,22 @@ def mostly_common_cases(draw):
 
 class TestKernels:
     def test_independent_streamed_kernel_is_bitwise_stable_under_growth(self):
-        # The streamed kernel recomputes from scratch at each prefix growth;
-        # its log values must equal the full kernel's entries exactly.
+        # Each prefix length recomputes the kernel from scratch; its log
+        # values are the full kernel's entries exactly, and its bound is the
+        # full kernel's log-value of an appended p = 1 tuple.
         from repro.engine.kernels import batched_prfe_log_values
 
         rng = np.random.default_rng(53)
         probabilities = rng.uniform(0.0, 1.0, 500)
+        probabilities[[3, 70]] = 0.0
         alpha = 0.85
-        log_values, examined, bound = independent_topk_log_values(
-            probabilities, alpha, 5
-        )
         full = batched_prfe_log_values(probabilities[None, :], alpha)[0]
-        assert examined <= 500
-        np.testing.assert_array_equal(log_values, full[:examined])
-        assert certified(log_values, 5, bound)
+        for m in (1, 2, 63, 64, 65, 256, 499, 500):
+            log_values, bound = independent_topk_log_values(probabilities, alpha, m)
+            np.testing.assert_array_equal(log_values, full[:m])
+            row = np.append(probabilities[:m], 1.0)[None, :]
+            assert bound == batched_prfe_log_values(row, alpha)[0, m]
+            assert np.all(full[m:] <= bound)
 
     def test_ranking_order_breaks_key_and_score_ties_by_tid_string(self):
         calls = []
@@ -460,9 +497,28 @@ class TestKernels:
         tree = make_tree(seed=59)
         alpha = 0.9
         _, full_values = prfe_values_tree(tree, alpha)
-        values, examined, bound = prfe_topk_values_stacked(PRFeLayout(tree), alpha, 5)
-        np.testing.assert_array_equal(values, full_values[:examined])
-        assert examined <= len(tree)
+        layout = PRFeLayout(tree)
+        for rows in (1, 5, 64, len(tree)):
+            values, expectation = prfe_prefix_values(layout, alpha, rows)
+            np.testing.assert_array_equal(values, full_values[:rows])
+            bound = BOUND_SAFETY * alpha * expectation
+            assert np.all(np.abs(full_values[rows:]) <= bound)
+
+    def test_markov_row_values_do_not_depend_on_the_row_count(self):
+        # A BLAS matrix-vector product splits a tall matrix's rows between
+        # threads at a height-dependent row: rows 748 and 749 of a 1500-row
+        # product differed from a 768-row prefix's (2 threads).  A Markov
+        # top-k prefix needs the full matrix's values bit for bit.
+        from repro.engine.backends.markov import _row_values
+
+        rng = np.random.default_rng(5)
+        n = 1500
+        rows = rng.random((n, n)) * rng.random((n, 1))
+        ordered = [Tuple(f"t{i}", float(n - i), 1.0) for i in range(n)]
+        for rf in (PRFe(0.95), PRFOmega(StepWeight(700)), PRFe(0.5 + 0.25j)):
+            full = _row_values(rf, ordered, rows)
+            for m in (64, 256, 768, 1024):
+                assert np.array_equal(_row_values(rf, ordered, rows[:m]), full[:m])
 
     def test_prefix_count_distribution_matches_independent_convolution(self):
         # On a from_independent network the prefix count is a sum of
