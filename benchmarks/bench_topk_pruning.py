@@ -47,6 +47,10 @@ MARKOV_SIZE = 12 if SMOKE else 30
 MARKOV_K = 3
 #: Chain sizes of the Markov ladder; past 64 tuples pruning must engage.
 MARKOV_LADDER = (60, 200) if SMOKE else (60, 200, 600)
+#: Largest cold ``rank_top_k`` / ``rank`` time ratio the Markov checks
+#: accept.  Where both run one full pass, ten best-of-5 ratios per case
+#: spread over 0.93-1.08 at n=30 and 0.88-1.11 at n=60 on a 2-core x86 box.
+MARKOV_TIME_RATIO = 1.25
 #: Calls per timed call of the independent, curve and tree benchmarks:
 #: enough to keep each timed region above ~20 ms, well over the regression
 #: gate's 5 ms floor, in smoke runs on a 2-core x86 box.
@@ -222,7 +226,7 @@ def _chain_network(n: int, seed: int):
     return chain.to_markov_network()
 
 
-def _cold_markov_times(network, rf, k: int, repeats: int = 2):
+def _cold_markov_times(network, rf, k: int, repeats: int = 5):
     """Best-of cold ``rank`` and ``rank_top_k`` times, plus the top-k answer.
 
     Cold engines per repetition: a warm positional matrix short-circuits
@@ -265,7 +269,9 @@ def test_topk_markov_pruning(benchmark, save_result):
     )
     if not SMOKE:
         # The same full pass either way: no slower beyond noise.
-        assert speedup > 0.8, f"Markov top-k slower than rank: {speedup:.2f}x"
+        assert topk_time < MARKOV_TIME_RATIO * full_time, (
+            f"Markov top-k slower than rank: {speedup:.2f}x"
+        )
 
 
 def test_topk_markov_ladder(benchmark, save_result):
@@ -276,7 +282,7 @@ def test_topk_markov_ladder(benchmark, save_result):
         network = _chain_network(n, seed=151 + index)
         for alpha in (0.5, 0.95):
             full_time, topk_time, report = _cold_markov_times(
-                network, PRFe(alpha), K, repeats=1 if n > 200 else 2
+                network, PRFe(alpha), K, repeats=1 if n > 200 else 5
             )
             reports[n, alpha] = (full_time, topk_time, report)
             rows.append(
@@ -293,7 +299,7 @@ def test_topk_markov_ladder(benchmark, save_result):
         if n > 64:
             assert report.pruned, f"no pruning at n={n}, alpha={alpha}"
         if not SMOKE:
-            assert topk_time < 1.25 * full_time, (
+            assert topk_time < MARKOV_TIME_RATIO * full_time, (
                 f"Markov top-k slower than rank at n={n}, alpha={alpha}:"
                 f" {topk_time:.4f}s against {full_time:.4f}s"
             )

@@ -33,6 +33,7 @@ from .weights import (
     LinearWeight,
     TabulatedWeight,
     WeightFunction,
+    row_sums,
 )
 
 __all__ = [
@@ -75,12 +76,15 @@ class RankingFunction:
         Definition 3 applied to positional probabilities
         ``matrix[i, j - 1] = Pr(r(ordered[i]) = j)``; columns past the
         matrix's width count as zero (a horizon, or ``max_rank``).  The
-        and/xor and Markov evaluators of every spec they do not run as a
-        closed form end here.
+        and/xor evaluators of every spec they do not run as a closed form,
+        and the Markov evaluators of every spec, end here.  A row's value
+        depends only on that row (:func:`~repro.core.weights.row_sums`):
+        the first ``m`` rows of a matrix, over the first ``m`` tuples, get
+        the full matrix's first ``m`` values bit for bit.
         """
         dtype = float if self.is_real() else complex
         weights = self.weight.as_array(matrix.shape[1])[1:].astype(dtype)
-        values = matrix.astype(dtype) @ weights
+        values = row_sums(matrix[None].astype(dtype, copy=False), weights)[0]
         factors = np.array([self.factor(t) for t in ordered], dtype=float)
         return values * factors
 

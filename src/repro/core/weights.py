@@ -45,6 +45,7 @@ __all__ = [
     "TabulatedWeight",
     "CallableWeight",
     "clamped_limit",
+    "row_sums",
 ]
 
 
@@ -67,6 +68,30 @@ def clamped_limit(n: int, max_rank: int | None) -> int:
     if limit < 0:
         raise ValueError(f"max_rank must be non-negative, got {max_rank}")
     return min(limit, n)
+
+
+#: Widest column slice one ``np.einsum`` call of :func:`row_sums` reduces.
+#: Past 8192 columns (numpy's default buffer size) einsum can sum a row of
+#: a multi-row operand differently from the same row alone, so a wider
+#: call would make a row's sum depend on its block.
+_REDUCE_COLUMNS = 4096
+
+
+def row_sums(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_m block[b, i, m] * weights[m]`` for every row, shape ``(B, rows)``.
+
+    A row's sum depends only on that row and ``weights``, not on its block,
+    stack, column slice or storage offset: ``np.einsum`` sums every row of
+    up to ``_REDUCE_COLUMNS`` columns alike, and wider rows add those slices
+    left to right.  A BLAS matrix-vector product's blocking and threading
+    split rows differently for different shapes.
+    """
+    weights = np.asarray(weights)
+    sums = np.einsum("bij,j->bi", block[..., :_REDUCE_COLUMNS], weights[:_REDUCE_COLUMNS])
+    for start in range(_REDUCE_COLUMNS, weights.size, _REDUCE_COLUMNS):
+        stop = start + _REDUCE_COLUMNS
+        sums += np.einsum("bij,j->bi", block[..., start:stop], weights[start:stop])
+    return sums
 
 
 class WeightFunction:

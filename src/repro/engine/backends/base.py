@@ -97,6 +97,12 @@ class RankingBackend(ABC):
     #: Correlation-model tag reported by :meth:`Engine.plan`.
     model: str = ""
 
+    #: Whether the full path leaves on the entry the evaluation that
+    #: :meth:`_evaluated` finds.  Where it does not, a top-k prefix that
+    #: would reach every row is all ``n`` rows of :meth:`_topk_prefix`,
+    #: which are the full path's, and is memoized like a certified one.
+    _full_path_cached: bool = True
+
     def __init__(self, engine: "Engine") -> None:
         # The engine's cache, not the engine: a backend referring back to
         # its engine would put every engine in a reference cycle, so a
@@ -164,11 +170,13 @@ class RankingBackend(ABC):
         until the k-th best key beats the bound on every later row
         (:func:`~repro.engine.topk.certified`).  A prefix that would cover
         every row runs the full path instead, which caches what that
-        model's later full rankings read.  The certified prefix is
-        memoized on the entry under ``("topk", alpha)`` and serves every
-        ``k`` it certifies.  Anything else -- a spec without the bound,
-        ``k >= n``, or a full evaluation already on the entry
-        (:meth:`_evaluated`) -- is the full ranking truncated to ``k``.
+        model's later full rankings read; without that cache
+        (:attr:`_full_path_cached`) it evaluates all ``n`` rows.  The
+        prefix is memoized on the entry under ``("topk", alpha)`` and
+        serves every ``k`` it certifies, and every ``k`` once it covers
+        all ``n`` rows.  Anything else -- a spec without the bound, ``k >=
+        n``, or a full evaluation already on the entry (:meth:`_evaluated`)
+        -- is the full ranking truncated to ``k``.
         """
         k = validated_k(k)
         label = name or data.name
@@ -183,7 +191,7 @@ class RankingBackend(ABC):
         alpha = float(rf.alpha)
         key = ("topk", alpha)
         memo = entry.extras.get(key)
-        if memo is not None and certified(memo[0], k, memo[1]):
+        if memo is not None and (memo[0].size == n or certified(memo[0], k, memo[1])):
             keys, bound = memo
         else:
             # Powers of two: a tree's layout keeps one row plan per length.
@@ -193,10 +201,12 @@ class RankingBackend(ABC):
                 m *= topk._GROWTH
             while True:
                 if m >= n:
-                    result = self._ranked_prefix(data, entry, rf, k, label)
-                    return result, TopKReport(k=k, n=n, examined=n, pruned=False)
+                    if self._full_path_cached:
+                        result = self._ranked_prefix(data, entry, rf, k, label)
+                        return result, TopKReport(k=k, n=n, examined=n, pruned=False)
+                    m = n
                 keys, bound = self._topk_prefix(data, entry, alpha, m)
-                if certified(keys, k, bound):
+                if m == n or certified(keys, k, bound):
                     break
                 m *= topk._GROWTH
             if store:
@@ -204,7 +214,7 @@ class RankingBackend(ABC):
         values, sort_keys = self._topk_values(keys)
         result = build_result(self.rows(data), entry, values, label, k, sort_keys)
         self.cache.enforce_budget()
-        return result, TopKReport(k=k, n=n, examined=keys.size, pruned=True)
+        return result, TopKReport(k=k, n=n, examined=keys.size, pruned=keys.size < n)
 
     def _ranked_prefix(self, data, entry, rf: RankingFunction, k: int, name: str) -> RankingResult:
         """The full ranking's first ``k`` items, the fall-back of :meth:`rank_top_k`."""
@@ -216,7 +226,9 @@ class RankingBackend(ABC):
 
     @abstractmethod
     def _topk_prefix(self, data, entry, alpha: float, m: int) -> tuple[np.ndarray, float]:
-        """Keys of the first ``m < n`` score-sorted rows under ``PRFe(alpha)``, and a bound.
+        """Keys of the first ``m`` score-sorted rows under ``PRFe(alpha)``, and a bound.
+
+        ``m < n``, or ``m == n`` where :attr:`_full_path_cached` is false.
 
         Returns ``(keys, bound)``: one key per row, larger is better, from
         which :meth:`_topk_values` gives the first ``m`` values of the full

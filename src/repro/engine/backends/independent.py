@@ -162,6 +162,9 @@ class IndependentBackend(RankingBackend):
     """Batched vectorized ranking over tuple-independent relations."""
 
     model = "independent"
+    # A full ranking caches no values: a top-k query needing every row
+    # memoizes them itself.
+    _full_path_cached = False
 
     def handles(self, data) -> bool:
         """Whether ``data`` is a tuple-independent relation (either storage)."""

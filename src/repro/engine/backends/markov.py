@@ -22,7 +22,8 @@ entry:
 The cache entry refers to no network: content-equal networks share it,
 every evaluator runs on the caller's network, and results carry the
 caller's tuples.  Every spec's values are one weighted sum per row of
-the positional matrix (:func:`_row_values`), and
+the positional matrix
+(:meth:`~repro.core.prf.RankingFunction.evaluate_positional`), and
 :func:`~repro.graphical.ranking.rank_markov_network` is an engine call.
 A top-k query (:meth:`~repro.engine.backends.base.RankingBackend.rank_top_k`)
 evaluates the matrix's first ``m`` rows the same way, so its values are
@@ -32,12 +33,9 @@ evidence-free prefix-count DP over the first ``m`` tuples.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ...core.prf import PRFe, RankingFunction
-from ...core.tuples import Tuple
 from ...graphical.model import MarkovNetworkRelation
 from ...graphical.ranking import (
     positional_rows,
@@ -45,28 +43,11 @@ from ...graphical.ranking import (
     rank_distribution_markov,
 )
 from ..cache import CachedNetwork
-from ..kernels import clamped_limit, row_sums
+from ..kernels import clamped_limit
 from ..topk import BOUND_SAFETY
 from .base import CorrelatedBackend
 
 __all__ = ["MarkovBackend"]
-
-
-def _row_values(rf: RankingFunction, ordered: Sequence[Tuple], rows: np.ndarray) -> np.ndarray:
-    """``rf``'s values of positional-matrix ``rows`` over ``ordered``'s first tuples.
-
-    :meth:`~repro.core.prf.RankingFunction.evaluate_positional` with
-    :func:`~repro.engine.kernels.row_sums` in place of its BLAS product,
-    so a row's value does not depend on how many rows are evaluated with
-    it: a top-k row prefix gets the full matrix's values.  A BLAS
-    matrix-vector product splits its rows between threads at a point that
-    depends on the height (OpenBLAS 0.3.31, 2 threads: 2 of the first
-    768 rows of a 1500-row product differ in the last place).
-    """
-    dtype = float if rf.is_real() else complex
-    weights = rf.weight.as_array(rows.shape[1])[1:].astype(dtype)
-    factors = np.array([rf.factor(t) for t in ordered[: len(rows)]], dtype=float)
-    return row_sums(rows[None].astype(dtype, copy=False), weights)[0] * factors
 
 
 class MarkovBackend(CorrelatedBackend):
@@ -94,7 +75,7 @@ class MarkovBackend(CorrelatedBackend):
         self, model: MarkovNetworkRelation, entry: CachedNetwork, rf: RankingFunction
     ) -> np.ndarray:
         matrix = entry.positional_matrix(model, clamped_limit(entry.n, rf.weight.horizon))
-        return _row_values(rf, entry.sorted_tuples(model.tuples), matrix)
+        return rf.evaluate_positional(entry.sorted_tuples(model.tuples), matrix)
 
     def _evaluated(self, entry: CachedNetwork, alpha: float) -> bool:
         """Whether the cached positional matrix is as wide as PRFe reads."""
@@ -114,7 +95,7 @@ class MarkovBackend(CorrelatedBackend):
         tree, base = entry.junction, entry.calibrated()
         ordered = entry.sorted_tuples(model.tuples)
         rows = positional_rows(tree, base, ordered, m, entry.n)
-        values = _row_values(PRFe(alpha), ordered, rows)
+        values = PRFe(alpha).evaluate_positional(ordered[:m], rows)
         counts = prefix_count_distribution(
             model, [t.tid for t in ordered[:m]], tree=tree, base=base
         )

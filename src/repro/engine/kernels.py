@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from ..core.prf import PRFe, RankingFunction
-from ..core.weights import clamped_limit
+from ..core.weights import clamped_limit, row_sums
 from .parallel import row_parts, run_parts
 
 __all__ = [
@@ -53,13 +53,6 @@ _ZERO_CHECK_ROWS = 32
 
 #: Prefix elements one streamed block of :func:`batched_general_values` holds.
 _STREAM_ELEMENTS = 1 << 18
-
-#: Widest column slice one ``np.einsum`` call of :func:`row_sums` reduces.
-#: Past 8192 columns (numpy's default buffer size) einsum can sum a row of
-#: a multi-row operand differently from the same row alone, so a wider
-#: call would make a row's sum depend on its block.
-_REDUCE_COLUMNS = 4096
-
 
 def uses_log_space(rf: RankingFunction) -> bool:
     """Whether ``rf`` is a PRFe spec evaluated by :func:`batched_prfe_log_values`.
@@ -148,23 +141,6 @@ def first_zero_row(prefix: np.ndarray) -> int:
     checked = prefix[:, ::_ZERO_CHECK_ROWS].any(axis=(0, 2))
     zero = np.flatnonzero(~checked)
     return int(zero[0]) * _ZERO_CHECK_ROWS if zero.size else prefix.shape[1]
-
-
-def row_sums(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sum_m block[b, i, m] * weights[m]`` for every row, shape ``(B, rows)``.
-
-    A row's sum depends only on that row and ``weights``, not on its block,
-    stack, column slice or storage offset: ``np.einsum`` sums every row of
-    up to ``_REDUCE_COLUMNS`` columns alike, and wider rows add those slices
-    left to right.  A BLAS matrix-vector product's blocking and threading
-    split rows differently for different shapes.
-    """
-    weights = np.asarray(weights)
-    sums = np.einsum("bij,j->bi", block[..., :_REDUCE_COLUMNS], weights[:_REDUCE_COLUMNS])
-    for start in range(_REDUCE_COLUMNS, weights.size, _REDUCE_COLUMNS):
-        stop = start + _REDUCE_COLUMNS
-        sums += np.einsum("bij,j->bi", block[..., start:stop], weights[start:stop])
-    return sums
 
 
 def batched_general_values(

@@ -22,7 +22,8 @@ runs every model's top-k query.  It evaluates the first ``m``
 score-sorted rows, ``m`` the least power of two ``>= max(4k, 64)``,
 then four times as many, until the k-th best key beats the bound
 (:func:`certified`); a prefix that would cover every row runs the full
-path instead.  Each backend's ``_topk_prefix`` hook supplies the rows'
+path instead, or, on independent relations, whose full ranking caches
+no values, all ``n`` rows of the hook, memoized.  Each backend's ``_topk_prefix`` hook supplies the rows'
 keys and the bound, from the computation its full path runs:
 
 * independent relations — the closed-form kernel over the first ``m``

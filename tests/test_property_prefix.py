@@ -25,10 +25,9 @@ from repro.algorithms.independent import (
 from repro.core.columnar import ColumnarRelation
 from repro.core.possible_worlds import enumerate_worlds, prf_by_enumeration
 from repro.core.result import ColumnarRankingResult, RankingResult
-from repro.core.weights import NDCGDiscountWeight, StepWeight, TabulatedWeight
+from repro.core.weights import _REDUCE_COLUMNS, NDCGDiscountWeight, StepWeight, TabulatedWeight
 from repro.engine.backends import independent as independent_backend
 from repro.engine.kernels import (
-    _REDUCE_COLUMNS,
     _ZERO_CHECK_ROWS,
     batched_prefix_matrices,
     general_weights,

@@ -211,7 +211,7 @@ MODEL_SIZES = [
 
 
 @pytest.mark.parametrize("make, n", MODEL_SIZES)
-def test_repeated_top_k_on_one_engine_is_the_full_prefix(make, n):
+def test_repeated_top_k_on_one_engine_is_the_full_prefix(make, n, monkeypatch):
     """``k`` rising and falling on one engine: the memo is served, grown and promoted."""
     data = make(n)
     rf = PRFe(0.8)
@@ -227,12 +227,28 @@ def test_repeated_top_k_on_one_engine_is_the_full_prefix(make, n):
     # These seeds prune at 64 rows and, past 256, grow to 256.
     assert n <= 64 or examined[0] == 64
     assert n <= 256 or 256 in examined
-    # k = n - 1 runs the full path; on trees and networks the full
-    # evaluation it caches serves the next request.
-    assert examined[-2] == n
-    if not isinstance(data, ProbabilisticRelation):
-        assert examined[-1] == n
+    # k = n - 1 evaluates every row, and what that caches serves the next
+    # request.
+    assert examined[-2:] == [n, n]
     assert_prefix(engine.rank(data, rf), full, n)
+    # No prefix certifies PRFe(0.9999) at k = 10: the first query evaluates
+    # every row, and the later ones evaluate no row again.
+    rf = PRFe(0.9999)
+    full = Engine().rank(data, rf)
+    pruned, report = engine.rank_top_k(data, rf, 10)
+    assert_prefix(pruned, full, 10)
+    assert report.examined == n and not report.pruned
+    backend = type(engine.backend_for(data))
+
+    def recomputed(*args, **kwargs):
+        raise AssertionError("a served top-k query evaluated rows again")
+
+    monkeypatch.setattr(backend, "_topk_prefix", recomputed)
+    monkeypatch.setattr(backend, "rank", recomputed)
+    for k in (10, 3, 30):
+        pruned, report = engine.rank_top_k(data, rf, k)
+        assert_prefix(pruned, full, k)
+        assert report.examined == n and not report.pruned
 
 
 # ---------------------------------------------------------------------------
@@ -504,21 +520,20 @@ class TestKernels:
             bound = BOUND_SAFETY * alpha * expectation
             assert np.all(np.abs(full_values[rows:]) <= bound)
 
-    def test_markov_row_values_do_not_depend_on_the_row_count(self):
+    def test_positional_values_do_not_depend_on_the_row_count(self):
         # A BLAS matrix-vector product splits a tall matrix's rows between
         # threads at a height-dependent row: rows 748 and 749 of a 1500-row
         # product differed from a 768-row prefix's (2 threads).  A Markov
         # top-k prefix needs the full matrix's values bit for bit.
-        from repro.engine.backends.markov import _row_values
-
         rng = np.random.default_rng(5)
         n = 1500
         rows = rng.random((n, n)) * rng.random((n, 1))
         ordered = [Tuple(f"t{i}", float(n - i), 1.0) for i in range(n)]
         for rf in (PRFe(0.95), PRFOmega(StepWeight(700)), PRFe(0.5 + 0.25j)):
-            full = _row_values(rf, ordered, rows)
+            full = rf.evaluate_positional(ordered, rows)
             for m in (64, 256, 768, 1024):
-                assert np.array_equal(_row_values(rf, ordered, rows[:m]), full[:m])
+                prefix = rf.evaluate_positional(ordered[:m], rows[:m])
+                assert np.array_equal(prefix, full[:m])
 
     def test_prefix_count_distribution_matches_independent_convolution(self):
         # On a from_independent network the prefix count is a sum of
